@@ -1,17 +1,15 @@
 package skyline
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/dse"
@@ -248,7 +246,9 @@ type MetricJSON struct {
 	Value JSONFloat `json:"value"`
 }
 
-// ExploreCandidateJSON is one /explore NDJSON line.
+// ExploreCandidateJSON is one /explore NDJSON line, as clients decode
+// it. The server writes lines with appendExploreLine, which emits the
+// bytes encoding/json would produce for this struct.
 type ExploreCandidateJSON struct {
 	Name      string    `json:"name"`
 	UAV       string    `json:"uav"`
@@ -269,42 +269,6 @@ type ExploreCandidateJSON struct {
 	Metrics   []MetricJSON `json:"metrics,omitempty"`
 }
 
-// exploreLine converts a candidate for the wire. cols and objName are
-// the active objective's columns and registry name (nil/"" on plain
-// explorations).
-func exploreLine(c dse.Candidate, objName string, cols []dse.ObjectiveColumn) ExploreCandidateJSON {
-	an := c.Analysis
-	out := ExploreCandidateJSON{
-		Name:      c.Name(),
-		UAV:       c.Selection.UAV,
-		Compute:   c.Selection.Compute,
-		Algorithm: c.Selection.Algorithm,
-		Sensor:    c.Selection.Sensor,
-		VSafeMS:   JSONFloat(an.SafeVelocity.MetersPerSecond()),
-		KneeHz:    JSONFloat(an.Knee.Throughput.Hertz()),
-		PowerW:    JSONFloat(c.Power.Watts()),
-		PayloadG:  JSONFloat(an.Config.Payload.Grams()),
-		Bound:     an.Bound.String(),
-		Class:     an.Class.String(),
-	}
-	// Non-finite readings stay at zero so omitempty drops them and the
-	// wire format matches pre-JSONFloat output byte for byte.
-	if v := an.Action.Hertz(); !math.IsInf(v, 0) && !math.IsNaN(v) {
-		out.ActionHz = JSONFloat(v)
-	}
-	if g := an.GapFactor; !math.IsInf(g, 0) && !math.IsNaN(g) {
-		out.GapFactor = JSONFloat(g)
-	}
-	if objName != "" && len(c.Metrics) == len(cols) {
-		out.Objective = objName
-		out.Metrics = make([]MetricJSON, len(cols))
-		for i, col := range cols {
-			out.Metrics[i] = MetricJSON{Name: col.Name, Value: JSONFloat(c.Metrics[i])}
-		}
-	}
-	return out
-}
-
 // requestWorkers resolves the workers= query knob against the server's
 // per-request cap: absent or oversized requests get the cap, explicit
 // smaller requests are honored, and garbage is a 400. Every
@@ -323,18 +287,34 @@ func (s *Server) requestWorkers(q url.Values) (int, error) {
 	return min(n, s.maxWorkers), nil
 }
 
+// Flush policy of a streamed /explore response. Each flush is a write
+// syscall, so lines are batched: the first still goes out at once, and
+// flushEvery caps how long a ready line waits.
+const (
+	flushBytes = 32 << 10
+	flushEvery = 10 * time.Millisecond
+	// lineHeadroom is the pending buffer's room past flushBytes for the
+	// line that crosses it; a longer line grows the buffer once.
+	lineHeadroom = 4 << 10
+)
+
 // handleExplore serves the design-space exploration as NDJSON. Without
 // a selection pass the candidates stream as the parallel engine
-// produces them — the first line arrives long before a large sweep
-// finishes — and the request context scopes the work: a dropped client
-// cancels the exploration's workers mid-space, and the timeout= knob
-// (or server default) bounds it in time. The request waits in the
-// server's admission queue for a slot (429 only when the queue itself
-// is full or the client is over quota) and its worker pool is clamped
-// to the per-request cap; the effective pool size is echoed in the
-// X-Explore-Workers header. While the queue is past its high-water
-// mark an unbounded exploration is downgraded to a capped top-K
-// response, flagged via X-Explore-Degraded.
+// produces them: the first line is written and flushed at once — it
+// arrives long before a large sweep finishes — and later lines go out
+// in batches, whenever 32 KiB (flushBytes) are pending or 10 ms
+// (flushEvery) have passed since the last flush, checked as each
+// candidate arrives, plus once at stream end. The request context
+// scopes the work: a dropped client cancels the exploration's workers
+// mid-space, and the timeout= knob (or server default) bounds it in
+// time; a timeout ends the stream with an {"error":…} line after the
+// pending ones. The request waits in the server's admission queue for
+// a slot (429 only when the queue itself is full or the client is over
+// quota) and its worker pool is clamped to the per-request cap; the
+// effective pool size is echoed in the X-Explore-Workers header. While
+// the queue is past its high-water mark an unbounded exploration is
+// downgraded to a capped top-K response, flagged via
+// X-Explore-Degraded.
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	req, err := ParseExplore(s.cat, r.URL.Query())
 	if err != nil {
@@ -435,20 +415,16 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		// The slate is complete, so the response is encoded to memory
 		// first — which makes it spillable as a store artifact (a
 		// repeat top-K or Pareto query then answers from disk).
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
+		var body []byte
 		for _, c := range cands {
-			if err := enc.Encode(exploreLine(c, req.ObjectiveName, objCols)); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
+			body = appendExploreLine(body, c, req.ObjectiveName, objCols)
 		}
-		if storeKey != "" && buf.Len() > 0 && ctx.Err() == nil {
-			s.store.Put(storeKey, buf.Bytes())
+		if storeKey != "" && len(body) > 0 && ctx.Err() == nil {
+			s.store.Put(storeKey, body)
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-		_, _ = buf.WriteTo(w) // a write failure means the client left
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		_, _ = w.Write(body) // a write failure means the client left
 		return
 	}
 
@@ -462,26 +438,40 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		spill = &spillBuffer{}
 		dst = teeWriter{w: w, spill: spill}
 	}
-	enc := json.NewEncoder(dst)
+	// Lines batch into one pending buffer, sized once per request and
+	// written out under the flush policy above.
+	pending := make([]byte, 0, flushBytes+lineHeadroom)
+	var lastFlush time.Time
 	complete := true
+	flush := func() error {
+		_, err := dst.Write(pending)
+		pending = pending[:0]
+		_ = rc.Flush()
+		lastFlush = time.Now()
+		return err
+	}
 	for cand, err := range e.Candidates(ctx) {
 		if err != nil {
 			complete = false
-			if errors.Is(err, context.Canceled) {
-				break // disconnect: the pool has already been cancelled
+			// A disconnect needs no error line: the pool has already
+			// been cancelled. Otherwise headers are sent; the best we
+			// can do is a terminal error line after the pending ones
+			// (ParseExplore has made these unlikely).
+			if !errors.Is(err, context.Canceled) {
+				pending = appendErrorLine(pending, err)
 			}
-			// Headers are sent; the best we can do is a terminal
-			// error line (ParseExplore has made these unlikely).
-			_ = enc.Encode(map[string]string{"error": err.Error()})
 			break
 		}
-		if err := enc.Encode(exploreLine(cand, req.ObjectiveName, objCols)); err != nil {
-			complete = false
-			break // write failure: client went away
+		pending = appendExploreLine(pending, cand, req.ObjectiveName, objCols)
+		if lastFlush.IsZero() || len(pending) >= flushBytes || time.Since(lastFlush) >= flushEvery {
+			if err := flush(); err != nil {
+				complete = false
+				break // write failure: client went away
+			}
 		}
-		// Flush each candidate so clients see results immediately;
-		// streaming beats buffering for multi-second explorations.
-		_ = rc.Flush()
+	}
+	if len(pending) > 0 && flush() != nil {
+		complete = false
 	}
 	// Spill only a clean full stream: a torn or error-bearing body
 	// must never become a servable artifact.

@@ -2,6 +2,7 @@ package skyline
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -14,6 +15,8 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/dse"
+	"repro/internal/faultinject"
+	"repro/internal/store"
 	"repro/internal/units"
 )
 
@@ -81,6 +84,84 @@ func TestExploreStreamMatchesEnumerate(t *testing.T) {
 	}
 	got := exploreLines(t, srv.URL+"/explore")
 	requireSameCandidates(t, want, got)
+
+	// Byte for byte, the batched stream is the appender's lines in
+	// enumeration order.
+	var wantBody []byte
+	for _, c := range want {
+		wantBody = appendExploreLine(wantBody, c, "", nil)
+	}
+	if body, _ := fetch(t, srv, "/explore"); !bytes.Equal(body, wantBody) {
+		t.Fatalf("streamed body (%d B) differs from the appender over dse.Enumerate (%d B)", len(body), len(wantBody))
+	}
+}
+
+// flushCounter is a ResponseWriter that counts flushes.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() { f.flushes++ }
+
+// TestExploreStreamBatchesFlushes bounds the flushes of a streamed
+// response by the flush policy: the first line, one per 32 KiB
+// written, and one per 10 ms elapsed — not one per line.
+func TestExploreStreamBatchesFlushes(t *testing.T) {
+	s := NewServerWith(catalog.Synthetic(5, 16, 16), Options{Cache: core.NewCache()})
+	w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+	start := time.Now()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/explore", nil))
+	elapsed := time.Since(start)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", w.Code, w.Body.Bytes())
+	}
+	n := w.Body.Len()
+	lines := bytes.Count(w.Body.Bytes(), []byte("\n"))
+	if lines != 1280 {
+		t.Fatalf("streamed %d lines, want 1280", lines)
+	}
+	limit := 1 + (n+flushBytes-1)/flushBytes + int(elapsed/flushEvery)
+	if w.flushes < 1 || w.flushes > limit {
+		t.Fatalf("%d flushes for %d lines (%d B in %v), want 1..%d", w.flushes, lines, n, elapsed, limit)
+	}
+}
+
+// TestExploreStreamTimeoutEndsWithErrorLine: a stream cut by its
+// timeout= ends with an {"error":…} line after the lines already
+// produced, each of which is whole, and the torn body is never stored.
+func TestExploreStreamTimeoutEndsWithErrorLine(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServerWith(catalog.Synthetic(5, 16, 16), Options{Cache: core.NewCache(), Store: st, MaxWorkersPerRequest: 2})
+	srv := httptest.NewServer(s)
+	t.Cleanup(srv.Close)
+	// Slow every analysis (each is a miss in the fresh cache) to 1 ms,
+	// so the 1280-candidate space needs over 600 ms on at most two
+	// workers, while the first lines arrive well inside the timeout.
+	t.Cleanup(faultinject.Enable(faultinject.SiteCacheFill, faultinject.Fault{Latency: time.Millisecond}))
+
+	body, _ := fetch(t, srv, "/explore?timeout=100ms")
+	lines := bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
+	if len(lines) < 2 {
+		t.Fatalf("want candidate lines before the error line, got %d lines: %s", len(lines), body)
+	}
+	var last map[string]string
+	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil || last["error"] == "" {
+		t.Fatalf("last line %q is not an error line (%v)", lines[len(lines)-1], err)
+	}
+	for i, line := range lines[:len(lines)-1] {
+		var c ExploreCandidateJSON
+		if err := json.Unmarshal(line, &c); err != nil || c.Name == "" {
+			t.Fatalf("line %d %q: not a whole candidate (%v)", i, line, err)
+		}
+	}
+	t.Logf("%d candidate lines before the error line", len(lines)-1)
+	if stats := st.Stats(); stats.Puts != 0 || stats.Artifacts != 0 {
+		t.Fatalf("timed-out stream was stored: %+v", stats)
+	}
 }
 
 func TestExploreSpaceSubsets(t *testing.T) {
@@ -267,8 +348,9 @@ func TestExploreStreamsAndDisconnectCancels(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The first line must be readable before the sweep finishes (the
-	// handler flushes per candidate); afterwards the exploration is
-	// still far from its 16000-candidate end.
+	// handler flushes the first candidate at once, then batches);
+	// afterwards the exploration is still far from its 16000-candidate
+	// end.
 	br := bufio.NewReader(resp.Body)
 	line, err := br.ReadBytes('\n')
 	if err != nil {

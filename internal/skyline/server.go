@@ -415,11 +415,7 @@ type JSONFloat float64
 
 // MarshalJSON implements json.Marshaler.
 func (f JSONFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsInf(v, 0) || math.IsNaN(v) {
-		return []byte("null"), nil
-	}
-	return json.Marshal(v)
+	return appendJSONFloat(nil, float64(f)), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler: null round-trips back to
