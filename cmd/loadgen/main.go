@@ -31,7 +31,9 @@
 //	            sizes the list, and -min-store-hit-rate gates the warm
 //	            pass's served-from-store rate (0 = no gate; byte
 //	            mismatches always fail). The report records cold/warm
-//	            wall times and the warm pass's store hits.
+//	            wall times, the warm pass's store hits and the warm
+//	            server's engine admissions; more admissions than store
+//	            misses always fail (a hit must do no engine work).
 //
 // -fault arms an injection site before the run (in-process mode only):
 // kinds are error, panic, and latency:<duration>. After the run
@@ -186,8 +188,7 @@ type restartReport struct {
 	ColdS float64 `json:"cold_s"`
 	WarmS float64 `json:"warm_s"`
 	// WarmStoreHits counts warm responses carrying X-Explore-Store
-	// (exact hits and superset-filtered answers); WarmStoreHitRate is
-	// that over Requests.
+	// (exact-key store hits); WarmStoreHitRate is that over Requests.
 	WarmStoreHits    int     `json:"warm_store_hits"`
 	WarmStoreHitRate float64 `json:"warm_store_hit_rate"`
 	// ByteMismatches counts warm responses whose bytes differ from the
@@ -196,6 +197,11 @@ type restartReport struct {
 	// RecoveredArtifacts is the warm server's startup-scan count,
 	// scraped from /metrics.
 	RecoveredArtifacts float64 `json:"recovered_artifacts"`
+	// WarmAdmitted is the warm server's skyline_admitted_total: requests
+	// granted an exploration slot, i.e. handed to the engine. A store
+	// hit returns before admission, so it is gated to at most
+	// Requests - WarmStoreHits.
+	WarmAdmitted float64 `json:"warm_admitted"`
 }
 
 func (r *report) gateFailures() []string {
@@ -215,6 +221,9 @@ func (r *report) gateFailures() []string {
 	if r.Restart != nil {
 		if r.Restart.ByteMismatches > 0 {
 			fails = append(fails, fmt.Sprintf("%d warm responses differ from the cold pass byte for byte", r.Restart.ByteMismatches))
+		}
+		if engine := r.Restart.Requests - r.Restart.WarmStoreHits; r.Restart.WarmAdmitted > float64(engine) {
+			fails = append(fails, fmt.Sprintf("warm server admitted %.0f requests to the engine, but only %d missed the store", r.Restart.WarmAdmitted, engine))
 		}
 		if r.minStoreHitRate > 0 && r.Restart.WarmStoreHitRate < r.minStoreHitRate {
 			fails = append(fails, fmt.Sprintf("warm store-hit rate %.3f < %.3f", r.Restart.WarmStoreHitRate, r.minStoreHitRate))
@@ -539,6 +548,7 @@ func driveRestart(cfg config) (*report, error) {
 	if err == nil {
 		rep.MetricsOK = true
 		rr.RecoveredArtifacts = samples["skyline_store_recovered_artifacts"]
+		rr.WarmAdmitted = samples["skyline_admitted_total"]
 	}
 	return rep, nil
 }
@@ -625,7 +635,7 @@ func printReport(w io.Writer, r *report) {
 		r.Server.QueueWaitP99, r.Server.Panics, r.Server.Degraded, r.MetricsOK)
 	if rr := r.Restart; rr != nil {
 		fmt.Fprintf(w, "  restart: %d requests, cold %.2fs -> warm %.2fs\n", rr.Requests, rr.ColdS, rr.WarmS)
-		fmt.Fprintf(w, "  restart: warm store hits %d/%d (rate %.3f), byte mismatches %d, recovered artifacts %.0f\n",
-			rr.WarmStoreHits, rr.Requests, rr.WarmStoreHitRate, rr.ByteMismatches, rr.RecoveredArtifacts)
+		fmt.Fprintf(w, "  restart: warm store hits %d/%d (rate %.3f), byte mismatches %d, recovered artifacts %.0f, warm admitted %.0f\n",
+			rr.WarmStoreHits, rr.Requests, rr.WarmStoreHitRate, rr.ByteMismatches, rr.RecoveredArtifacts, rr.WarmAdmitted)
 	}
 }

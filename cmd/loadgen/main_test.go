@@ -168,6 +168,9 @@ func TestRunRestartScenario(t *testing.T) {
 	if rr.RecoveredArtifacts != 8 {
 		t.Fatalf("recovered artifacts = %v, want 8", rr.RecoveredArtifacts)
 	}
+	if rr.WarmAdmitted != 0 {
+		t.Fatalf("warm server admitted %v requests to the engine; want 0", rr.WarmAdmitted)
+	}
 	if !rep.MetricsOK {
 		t.Fatal("warm /metrics did not parse")
 	}
@@ -237,5 +240,15 @@ func TestReportGates(t *testing.T) {
 	r.Restart.WarmStoreHitRate = 1
 	if fails := r.gateFailures(); len(fails) != 0 {
 		t.Errorf("clean restart report fails: %v", fails)
+	}
+	// Engine-work gate: admissions may not exceed the store misses.
+	r.minStoreHitRate = 0
+	r.Restart = &restartReport{Requests: 8, WarmStoreHits: 7, WarmAdmitted: 1}
+	if fails := r.gateFailures(); len(fails) != 0 {
+		t.Errorf("one miss, one admission fails: %v", fails)
+	}
+	r.Restart.WarmStoreHits = 8
+	if fails := r.gateFailures(); len(fails) != 1 || !strings.Contains(fails[0], "admitted") {
+		t.Errorf("admitted gate = %v", fails)
 	}
 }

@@ -26,8 +26,9 @@
 //
 // Cache (memo.go) memoizes analyses process-wide with sharding,
 // segmented-LRU eviction and context-aware singleflight miss
-// coalescing; its AnalyzeFunc variants let a factored caller fill
-// misses via the partial combine instead of the full Analyze.
+// coalescing; AnalyzeScoredContextFunc lets a factored caller (the
+// exploration engine's objective path) fill misses via the partial
+// combine plus its evaluator instead of the full Analyze.
 //
 // The combine's allocation discipline (//reprolint:hotpath on
 // AnalyzeWithPartial[Into]) and the package's context-flow contract

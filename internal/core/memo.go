@@ -15,13 +15,13 @@ import (
 // Cache memoizes Analyze results keyed on a ScoreKey — the full Config
 // value plus the objective (and seed) it was scored under — so repeated
 // analyses of the same resolved configuration — a Skyline server
-// replaying popular requests, or an Explorer re-running a design space
-// after a constraint tweak — pay the model cost once. The plain
-// Analyze/Lookup entry points key on the zero objective; the *Scored
-// variants carry an objective's metric columns through the same entry,
-// so a configuration scored under two different objectives (or two
-// Monte-Carlo seeds) occupies two independent entries and results stay
-// byte-deterministic.
+// replaying popular requests, or an Explorer re-scoring a design space
+// under one objective — pay the model cost once. The plain
+// Analyze/AnalyzeContext entry points key on the zero objective; the
+// *Scored variants carry an objective's metric columns through the same
+// entry, so a configuration scored under two different objectives (or
+// two Monte-Carlo seeds) occupies two independent entries and results
+// stay byte-deterministic.
 //
 // The cache is sharded: the Config hashes to one of a power-of-two
 // number of independently locked segments, so concurrent exploration
@@ -37,11 +37,11 @@ import (
 // identical requests computes once and shares the result; with
 // AnalyzeContext the coalesced wait is context-aware — a follower
 // whose own request dies abandons the wait while the leader completes
-// and fills. The AnalyzeFunc variants accept a caller-supplied miss
-// fill (the exploration engine fills via its precomputed-partial
-// combine), and Lookup probes the hit path without committing to a
-// fill. Hits, misses, coalesced waits and evictions are counted; Stats
-// returns a snapshot.
+// and fills. AnalyzeScoredContextFunc accepts a caller-supplied miss
+// fill (the exploration engine's scored path fills via its
+// precomputed-partial combine plus the objective), and LookupScored
+// probes the hit path without committing to a fill. Hits, misses,
+// coalesced waits and evictions are counted; Stats returns a snapshot.
 //
 // Cached Analysis values are shared between callers: treat them as
 // read-only (in particular, do not mutate the Ceilings slice of a
@@ -308,65 +308,25 @@ func (c *Cache) AnalyzeContext(ctx context.Context, cfg Config) (Analysis, error
 	return an, err
 }
 
-// AnalyzeFunc is Analyze with a caller-supplied fill: on a miss the
-// cache computes via fill instead of the full Analyze, so callers
-// holding a precomputed ModelPartial fill misses with the cheap
-// AnalyzeWithPartial combine. fill must be equivalent to Analyze(cfg) —
-// AnalyzeWithPartial over partials assembled from the same
-// configuration is, bit for bit — since its result is cached under cfg
-// and shared with every future caller. Misses still coalesce: one fill
+// AnalyzeScoredContextFunc is AnalyzeContext over a full ScoreKey with
+// a caller-supplied miss fill: on a miss of (Config, objective, seed)
+// the fill computes the analysis together with the objective's metric
+// columns, and both are cached and shared — like the Analysis, the
+// returned metrics slice is read-only. Misses still coalesce: one fill
 // runs, followers share it.
-//
-//reprolint:ctxshim documented no-context convenience wrapper; request paths use AnalyzeContextFunc
-func (c *Cache) AnalyzeFunc(cfg Config, fill func() (Analysis, error)) (Analysis, error) {
-	an, _, err := c.analyze(context.Background(), ScoreKey{Cfg: cfg}, plainFill(fill))
-	return an, err
-}
-
-// AnalyzeContextFunc combines AnalyzeContext and AnalyzeFunc: a
-// caller-supplied miss fill with a context-governed coalesced wait.
-func (c *Cache) AnalyzeContextFunc(ctx context.Context, cfg Config, fill func() (Analysis, error)) (Analysis, error) {
-	an, _, err := c.analyze(ctx, ScoreKey{Cfg: cfg}, plainFill(fill))
-	return an, err
-}
-
-// AnalyzeScoredContextFunc is AnalyzeContextFunc over a full ScoreKey:
-// on a miss of (Config, objective, seed) the fill computes the analysis
-// together with the objective's metric columns, and both are cached and
-// shared — like the Analysis, the returned metrics slice is read-only.
 // fill must be deterministic in the key, since its result is memoized
 // under it and served to every future caller.
 func (c *Cache) AnalyzeScoredContextFunc(ctx context.Context, key ScoreKey, fill func() (Analysis, []float64, error)) (Analysis, []float64, error) {
 	return c.analyze(ctx, key, fill)
 }
 
-// plainFill adapts an analysis-only miss fill to the scored shape (nil
-// metrics). A nil fill stays nil so analyze keeps its analyzeFn default.
-func plainFill(fill func() (Analysis, error)) func() (Analysis, []float64, error) {
-	if fill == nil {
-		return nil
-	}
-	return func() (Analysis, []float64, error) {
-		an, err := fill()
-		return an, nil, err
-	}
-}
-
-// Lookup peeks for a memoized analysis: on a hit it counts the hit,
-// refreshes cfg's eviction standing and returns the analysis; on an
-// absence it returns false without counting a miss — the expected
-// follow-up (AnalyzeFunc or a sibling) records the miss when it fills.
-// It exists so hot loops can keep their miss-fill closure off the hit
-// path: probe first, and only on absence build the closure and call
-// AnalyzeContextFunc.
-func (c *Cache) Lookup(cfg Config) (Analysis, bool) {
-	an, _, ok := c.LookupScored(ScoreKey{Cfg: cfg})
-	return an, ok
-}
-
-// LookupScored is Lookup over a full ScoreKey: a hit returns the
-// analysis together with the objective's cached metric columns (nil for
-// the zero objective). The metrics slice is shared — read-only.
+// LookupScored peeks for a memoized scored analysis: on a hit it counts
+// the hit, refreshes key's eviction standing and returns the analysis
+// together with the objective's cached metric columns (nil for the zero
+// objective; the slice is shared — read-only). On an absence it returns
+// false without counting a miss — the expected follow-up,
+// AnalyzeScoredContextFunc, records the miss when it fills. It exists so
+// hot loops can keep their miss-fill closure off the hit path.
 func (c *Cache) LookupScored(key ScoreKey) (Analysis, []float64, bool) {
 	if c == nil || len(c.shards) == 0 || !memoizable(key.Cfg) {
 		return Analysis{}, nil, false

@@ -102,127 +102,158 @@ func TestCacheAnalyzeContextUncancelledMatchesAnalyze(t *testing.T) {
 	}
 }
 
-// TestCacheAnalyzeFuncFillsOnMiss: the caller-supplied fill runs on the
-// miss, its result is cached under cfg, and subsequent plain Analyze
-// calls hit it.
-func TestCacheAnalyzeFuncFillsOnMiss(t *testing.T) {
-	c := NewCache()
-	cfg := memoTestConfig("func-fill", 320)
+// scoredTestFill returns a scored miss fill over cfg — the partial
+// combine the exploration engine uses, plus one metric column — and the
+// counter of its runs.
+func scoredTestFill(cfg Config) (func() (Analysis, []float64, error), *atomic.Int64) {
 	var fills atomic.Int64
-	fill := func() (Analysis, error) {
+	return func() (Analysis, []float64, error) {
 		fills.Add(1)
-		// The exploration engine fills via AnalyzeWithPartial; the
-		// equivalent-computation contract is what matters here.
 		p := PrecomputeModel(cfg)
-		return AnalyzeWithPartial(&p, cfg.Name,
+		an, err := AnalyzeWithPartial(&p, cfg.Name,
 			PrecomputeStage(cfg.SensorRate), PrecomputeStage(cfg.ComputeRate), PrecomputeStage(cfg.ControlRate))
-	}
-	first, err := c.AnalyzeFunc(cfg, fill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fills.Load() != 1 {
-		t.Fatalf("fill ran %d times on the first miss, want 1", fills.Load())
-	}
-	// Hit path: neither fill nor the full analysis runs again, and the
-	// plain and fill variants see the same entry.
-	second, err := c.Analyze(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fills.Load() != 1 {
-		t.Fatalf("fill re-ran on a hit (%d runs)", fills.Load())
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatal("fill-variant and plain-variant results diverge")
-	}
-	want, err := Analyze(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, want) {
-		t.Fatal("AnalyzeFunc result diverges from direct Analyze")
-	}
+		return an, []float64{float64(an.SafeVelocity) / 2}, err
+	}, &fills
 }
 
-// TestCacheAnalyzeFuncErrorsNotCached mirrors the plain-variant
-// error-caching contract for caller-supplied fills.
-func TestCacheAnalyzeFuncErrorsNotCached(t *testing.T) {
-	c := NewCache()
-	cfg := memoTestConfig("func-err", 330)
-	boom := errors.New("fill failed")
-	if _, err := c.AnalyzeFunc(cfg, func() (Analysis, error) { return Analysis{}, boom }); !errors.Is(err, boom) {
-		t.Fatalf("got %v, want the fill's error", err)
-	}
-	if c.contains(cfg) {
-		t.Fatal("failed fill was cached")
-	}
-	// A later successful fill works.
-	if _, err := c.AnalyzeFunc(cfg, func() (Analysis, error) { return Analyze(cfg) }); err != nil {
-		t.Fatal(err)
-	}
-	if !c.contains(cfg) {
-		t.Fatal("successful retry was not cached")
-	}
-}
-
-// TestCacheAnalyzeFuncPassThrough: nil caches and the CacheOff
-// pass-through still run the fill (never the full Analyze).
-func TestCacheAnalyzeFuncPassThrough(t *testing.T) {
-	cfg := memoTestConfig("func-off", 340)
-	for _, c := range []*Cache{nil, CacheOff()} {
-		var fills atomic.Int64
-		an, err := c.AnalyzeFunc(cfg, func() (Analysis, error) {
-			fills.Add(1)
-			return Analyze(cfg)
-		})
+// TestCacheAnalyzeScoredContextFunc pins the caller-supplied-fill
+// contract: the fill runs once per key and is shared by later calls,
+// errors are never cached, and nil/CacheOff caches pass through to the
+// fill without retaining anything.
+func TestCacheAnalyzeScoredContextFunc(t *testing.T) {
+	ctx := context.Background()
+	t.Run("fill_runs_once", func(t *testing.T) {
+		c := NewCache()
+		cfg := memoTestConfig("scored-fill", 320)
+		key := ScoreKey{Cfg: cfg, Objective: "half-velocity", Seed: 7}
+		fill, fills := scoredTestFill(cfg)
+		first, metrics, err := c.AnalyzeScoredContextFunc(ctx, key, fill)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fills.Load() != 1 {
-			t.Fatalf("pass-through ran fill %d times, want 1", fills.Load())
+			t.Fatalf("fill ran %d times on the first miss, want 1", fills.Load())
 		}
-		want, _ := Analyze(cfg)
-		if !reflect.DeepEqual(an, want) {
-			t.Fatal("pass-through fill result diverges")
+		want, err := Analyze(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, want) {
+			t.Fatal("fill result diverges from direct Analyze")
+		}
+		// Hit path: the fill does not run again and the metrics are the
+		// cached ones.
+		second, again, err := c.AnalyzeScoredContextFunc(ctx, key, fill)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fills.Load() != 1 {
+			t.Fatalf("fill re-ran on a hit (%d runs)", fills.Load())
+		}
+		if !reflect.DeepEqual(first, second) || !reflect.DeepEqual(metrics, again) {
+			t.Fatal("hit diverges from the filled entry")
+		}
+		// Another seed is another entry; the zero objective is the entry
+		// plain Analyze shares.
+		if _, _, err := c.AnalyzeScoredContextFunc(ctx, ScoreKey{Cfg: cfg, Objective: key.Objective, Seed: 8}, fill); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.AnalyzeScoredContextFunc(ctx, ScoreKey{Cfg: cfg}, fill); err != nil {
+			t.Fatal(err)
+		}
+		if fills.Load() != 3 {
+			t.Fatalf("fill ran %d times over three keys, want 3", fills.Load())
+		}
+		if _, err := c.Analyze(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if st := c.Stats(); st.Fills != 3 || st.Hits != 2 {
+			t.Fatalf("plain Analyze did not hit the zero-objective entry: %+v", st)
+		}
+	})
+	t.Run("errors_not_cached", func(t *testing.T) {
+		c := NewCache()
+		cfg := memoTestConfig("scored-err", 330)
+		key := ScoreKey{Cfg: cfg, Objective: "half-velocity"}
+		boom := errors.New("fill failed")
+		if _, _, err := c.AnalyzeScoredContextFunc(ctx, key, func() (Analysis, []float64, error) {
+			return Analysis{}, nil, boom
+		}); !errors.Is(err, boom) {
+			t.Fatalf("got %v, want the fill's error", err)
 		}
 		if c.Len() != 0 {
-			t.Fatal("pass-through cache retained an entry")
+			t.Fatal("failed fill was cached")
 		}
-	}
+		// A later successful fill works.
+		fill, _ := scoredTestFill(cfg)
+		if _, _, err := c.AnalyzeScoredContextFunc(ctx, key, fill); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok := c.LookupScored(key); !ok {
+			t.Fatal("successful retry was not cached")
+		}
+	})
+	t.Run("pass_through", func(t *testing.T) {
+		cfg := memoTestConfig("scored-off", 340)
+		key := ScoreKey{Cfg: cfg, Objective: "half-velocity"}
+		for _, c := range []*Cache{nil, CacheOff()} {
+			fill, fills := scoredTestFill(cfg)
+			an, metrics, err := c.AnalyzeScoredContextFunc(ctx, key, fill)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fills.Load() != 1 {
+				t.Fatalf("pass-through ran fill %d times, want 1", fills.Load())
+			}
+			want, wantMetrics, _ := fill()
+			if !reflect.DeepEqual(an, want) || !reflect.DeepEqual(metrics, wantMetrics) {
+				t.Fatal("pass-through fill result diverges")
+			}
+			if c.Len() != 0 {
+				t.Fatal("pass-through cache retained an entry")
+			}
+		}
+	})
 }
 
-// TestCacheLookup: hits return the entry and count as hits; absences
-// return false without counting a miss (the follow-up fill records it).
+// TestCacheLookup: LookupScored hits return the entry with its metrics
+// and count as hits; absences — including the same Config under another
+// objective — return false without counting a miss (the follow-up fill
+// records it).
 func TestCacheLookup(t *testing.T) {
 	c := NewCache()
 	cfg := memoTestConfig("lookup", 350)
-	if _, ok := c.Lookup(cfg); ok {
-		t.Fatal("Lookup hit an empty cache")
+	key := ScoreKey{Cfg: cfg, Objective: "half-velocity"}
+	if _, _, ok := c.LookupScored(key); ok {
+		t.Fatal("LookupScored hit an empty cache")
 	}
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("Lookup absence perturbed counters: %+v", st)
+		t.Fatalf("LookupScored absence perturbed counters: %+v", st)
 	}
-	want, err := c.Analyze(cfg)
+	fill, _ := scoredTestFill(cfg)
+	want, wantMetrics, err := c.AnalyzeScoredContextFunc(context.Background(), key, fill)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c.Lookup(cfg)
+	got, metrics, ok := c.LookupScored(key)
 	if !ok {
-		t.Fatal("Lookup missed a cached entry")
+		t.Fatal("LookupScored missed a cached entry")
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("Lookup result diverges from the cached analysis")
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(metrics, wantMetrics) {
+		t.Fatal("LookupScored result diverges from the cached entry")
 	}
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("unexpected counters after hit: %+v", st)
 	}
-	// Nil and pass-through caches never hit.
-	if _, ok := (*Cache)(nil).Lookup(cfg); ok {
-		t.Fatal("nil cache Lookup hit")
+	if _, _, ok := c.LookupScored(ScoreKey{Cfg: cfg, Objective: "other"}); ok {
+		t.Fatal("LookupScored hit under another objective")
 	}
-	if _, ok := CacheOff().Lookup(cfg); ok {
-		t.Fatal("CacheOff Lookup hit")
+	// Nil and pass-through caches never hit.
+	if _, _, ok := (*Cache)(nil).LookupScored(key); ok {
+		t.Fatal("nil cache LookupScored hit")
+	}
+	if _, _, ok := CacheOff().LookupScored(key); ok {
+		t.Fatal("CacheOff LookupScored hit")
 	}
 }
 

@@ -36,13 +36,15 @@
 //     algorithm) and one core.Stage per distinct sensor, algorithm-on-
 //     compute and control rate. Building a candidate is then index math
 //     plus the allocation-free core.AnalyzeWithPartial combine —
-//     bit-identical to a from-scratch core.Analyze. An optional
-//     core.Cache memoizes repeated analyses, probed allocation-free on
-//     hits and filled through the partial combine on misses — with
-//     context-aware singleflight, so concurrent explorations of
-//     overlapping spaces analyze each configuration once, and a
-//     cancelled request abandons a coalesced wait instead of blocking
-//     on another request's analysis.
+//     bit-identical to a from-scratch core.Analyze. A plain candidate
+//     is always recomputed: the combine costs less than a cache probe
+//     of its Config key. Only a scored candidate (an exploration with
+//     an Objective) is memoized in the optional core.Cache, probed
+//     allocation-free on hits and filled through the combine plus the
+//     evaluator on misses — with context-aware singleflight, so
+//     concurrent explorations of overlapping spaces score each
+//     configuration once, and a cancelled request abandons a coalesced
+//     wait instead of blocking on another request's evaluation.
 //   - Sweep and GridSweep reuse the same factoring per point: a swept
 //     rate rebuilds one Stage, a swept range goes through
 //     ModelPartial.WithRange (reusing the a_max lookup), and only a

@@ -30,10 +30,12 @@ type Explorer struct {
 	// candidates a worker takes from its deque at once; 0 picks a size
 	// that rebalances skewed cells without measurable claim overhead.
 	ChunkSize int
-	// Cache memoizes analyses across explorations (e.g. a server
-	// re-exploring after a constraint tweak). Nil selects the
-	// process-wide core.SharedCache; core.CacheOff() disables
-	// memoization entirely (e.g. a benchmark isolating the engine).
+	// Cache memoizes scored analyses across explorations (e.g. a server
+	// re-ranking a popular space under one Objective). Plain candidates
+	// never touch it: their partial combine is cheaper than a probe.
+	// Nil selects the process-wide core.SharedCache; core.CacheOff()
+	// disables memoization entirely (e.g. a benchmark isolating the
+	// engine).
 	Cache *core.Cache
 	// Objective optionally scores each surviving candidate with a
 	// mission-level evaluator (see NewObjective and docs/OBJECTIVES.md):
@@ -78,10 +80,14 @@ func (e Explorer) grain(n, workers int) int {
 // check: no catalog access, no acceleration-model evaluation, no
 // knee/roof recomputation.
 type plan struct {
-	cons  Constraints
-	cache *core.Cache
-	// memoized is whether cache actually memoizes; when false the
-	// candidates skip cache plumbing and combine partials directly.
+	cons Constraints
+	// scoreCache memoizes scored candidates only. Plain candidates
+	// always combine partials directly: the combine is cheaper than a
+	// cache probe.
+	scoreCache *core.Cache
+	// memoized is whether scored candidates go through scoreCache: an
+	// objective is set and scoreCache actually memoizes. When false no
+	// candidate touches the cache.
 	memoized bool
 	// obj is the optional mission-level evaluator, with its registry
 	// name, base Monte-Carlo seed (0 = deterministic) and column set
@@ -143,7 +149,7 @@ func newPlan(cat *catalog.Catalog, space Space, cons Constraints, cache *core.Ca
 	if len(space.UAVs) == 0 || len(space.Computes) == 0 || len(space.Algorithms) == 0 {
 		return nil, fmt.Errorf("dse: space must name at least one UAV, compute and algorithm")
 	}
-	p := &plan{cons: cons, cache: cache}
+	p := &plan{cons: cons, scoreCache: cache}
 	if obj != nil {
 		p.obj = obj
 		p.objName = obj.Name()
@@ -259,7 +265,7 @@ func newPlan(cat *catalog.Catalog, space Space, cons Constraints, cache *core.Ca
 		p.cells[i].name = all[offs[i]:offs[i+1]]
 	}
 	p.precompute(pairUsed)
-	p.memoized = p.cache.Memoizes()
+	p.memoized = p.obj != nil && p.scoreCache.Memoizes()
 	return p, nil
 }
 
@@ -324,10 +330,10 @@ func (p *plan) precompute(pairUsed []bool) {
 // constraints reject it (the slot's contents are then unspecified).
 // arena, when non-nil, supplies the Ceilings backing for non-memoized
 // candidates (one allocation per block instead of per candidate); the
-// memoized path never uses it — a cached entry must own an exact-size
-// slice, not pin a whole block. ctx governs only a memoized
-// candidate's coalesced wait on another caller's in-flight analysis;
-// the combine itself is pure arithmetic with no cancellation points.
+// memoized scored path never uses it — a cached entry must own an
+// exact-size slice, not pin a whole block. ctx reaches only the scored
+// path (the evaluator and a memoized candidate's coalesced wait); the
+// plain combine is pure arithmetic with no cancellation points.
 //
 //reprolint:hotpath
 func (p *plan) candidateInto(ctx context.Context, i int, cand *Candidate, arena *[]core.Ceiling) (ok bool, err error) {
@@ -346,30 +352,7 @@ func (p *plan) candidateInto(ctx context.Context, i int, cand *Candidate, arena 
 	// The caller's slot may have carried a scored candidate (the serial
 	// paths reuse one); a plain exploration must not leak stale metrics.
 	cand.Metrics = nil
-	if p.memoized {
-		// Probe before building the fill closure: the hit path — a
-		// server re-exploring a popular space — allocates nothing.
-		cfg := mp.Config(cl.name, sensorStage, cl.stage, controlStage)
-		var hit bool
-		cand.Analysis, hit = p.cache.Lookup(cfg)
-		if !hit {
-			// Clone the name before the entry can be inserted: cl.name is
-			// a substring of the plan-wide name buffer, and a cached
-			// Config holding it would pin that entire buffer in the
-			// process-wide cache for as long as the entry lives. String
-			// keys compare by content, so later Lookups with the
-			// substring name still hit the clone-keyed entry.
-			cfg.Name = strings.Clone(cl.name)
-			name := cfg.Name
-			//reprolint:allow hotpathalloc the fill closure is built only on the cache-miss path, which allocates anyway
-			cand.Analysis, err = p.cache.AnalyzeContextFunc(ctx, cfg, func() (core.Analysis, error) {
-				return core.AnalyzeWithPartial(mp, name, sensorStage, cl.stage, controlStage)
-			})
-		}
-	} else {
-		err = core.AnalyzeWithPartialInto(mp, cl.name, sensorStage, cl.stage, controlStage, arena, &cand.Analysis)
-	}
-	if err != nil {
+	if err = core.AnalyzeWithPartialInto(mp, cl.name, sensorStage, cl.stage, controlStage, arena, &cand.Analysis); err != nil {
 		return false, fmt.Errorf("dse: analyzing %s/%s/%s: %w", uav.Name, comp.Name, cl.algo, err)
 	}
 	cand.Selection = catalog.Selection{UAV: uav.Name, Compute: comp.Name, Algorithm: cl.algo, Sensor: sc.name}
@@ -420,14 +403,16 @@ func (p *plan) candidateScoredInto(ctx context.Context, cl *cell, sc *sensorChoi
 		Seed:      seed,
 	}
 	var hit bool
-	if cand.Analysis, cand.Metrics, hit = p.cache.LookupScored(key); hit {
+	if cand.Analysis, cand.Metrics, hit = p.scoreCache.LookupScored(key); hit {
 		return p.cons.Allows(*cand), nil
 	}
 	// Miss: combine first, outside the cache, so constraint-pruned
 	// candidates never pay the evaluator. The name is cloned before the
-	// analysis can reach the cache — cl.name is a substring of the
+	// analysis can reach the cache: cl.name is a substring of the
 	// plan-wide name buffer, and a cached key holding it would pin that
-	// whole buffer (see candidateInto).
+	// whole buffer in the process-wide cache for as long as the entry
+	// lives. String keys compare by content, so later probes with the
+	// substring name still hit the clone-keyed entry.
 	name := strings.Clone(cl.name)
 	cand.Analysis, err = core.AnalyzeWithPartial(mp, name, sensorStage, cl.stage, controlStage)
 	if err != nil {
@@ -439,7 +424,7 @@ func (p *plan) candidateScoredInto(ctx context.Context, cl *cell, sc *sensorChoi
 	key.Cfg.Name = name
 	an := cand.Analysis
 	//reprolint:allow hotpathalloc the fill closure is built only on the cache-miss path, which allocates anyway
-	cand.Analysis, cand.Metrics, err = p.cache.AnalyzeScoredContextFunc(ctx, key, func() (core.Analysis, []float64, error) {
+	cand.Analysis, cand.Metrics, err = p.scoreCache.AnalyzeScoredContextFunc(ctx, key, func() (core.Analysis, []float64, error) {
 		scored := Candidate{Selection: cand.Selection, Analysis: an, Power: comp.TDP}
 		metrics := make([]float64, len(p.objCols))
 		if err := p.obj.Evaluate(ctx, &scored, seed, metrics); err != nil {

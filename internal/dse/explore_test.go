@@ -164,10 +164,17 @@ func TestCandidatesEarlyBreak(t *testing.T) {
 	}
 }
 
+// TestExplorerSharedCache: a scored exploration fills the cache it is
+// given, and a re-exploration through the warm cache — and an uncached
+// serial one — reproduce its slate.
 func TestExplorerSharedCache(t *testing.T) {
 	cat := catalog.Synthetic(2, 5, 5)
+	ev, err := NewObjective("mission.thermal", cat, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cache := core.NewCache()
-	e := Explorer{Catalog: cat, Space: synthSpace(cat), Workers: 4, ChunkSize: 3, Cache: cache}
+	e := Explorer{Catalog: cat, Space: synthSpace(cat), Workers: 4, ChunkSize: 3, Cache: cache, Objective: ev}
 	first, err := e.Enumerate()
 	if err != nil {
 		t.Fatal(err)
@@ -181,11 +188,35 @@ func TestExplorerSharedCache(t *testing.T) {
 	}
 	requireEqualCandidates(t, first, second)
 	// And against an uncached run.
-	plain, err := Explorer{Catalog: cat, Space: e.Space, Workers: 1, Cache: core.CacheOff()}.Enumerate()
+	plain, err := Explorer{Catalog: cat, Space: e.Space, Workers: 1, Cache: core.CacheOff(), Objective: ev}.Enumerate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireEqualCandidates(t, plain, second)
+}
+
+// TestPlainExplorationSkipsCache pins the memoization policy: a plain
+// (objective-less) candidate is recomputed, never probed or stored, so
+// a real cache sees no lookups and stays empty, and the slate equals
+// the CacheOff one at every worker count.
+func TestPlainExplorationSkipsCache(t *testing.T) {
+	cat := catalog.Synthetic(3, 5, 4)
+	space := synthSpace(cat)
+	want, err := Explorer{Catalog: cat, Space: space, Workers: 1, Cache: core.CacheOff()}.Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		cache := core.NewCache()
+		got, err := Explorer{Catalog: cat, Space: space, Workers: workers, ChunkSize: 3, Cache: cache}.Enumerate()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		requireEqualCandidates(t, want, got)
+		if st := cache.Stats(); st.Hits+st.Misses != 0 || st.Entries != 0 {
+			t.Fatalf("workers=%d: plain exploration touched the cache: %+v", workers, st)
+		}
+	}
 }
 
 func TestExplorerCacheDefaults(t *testing.T) {

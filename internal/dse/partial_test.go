@@ -67,15 +67,20 @@ func TestPlanPartialMatchesDirectAnalyze(t *testing.T) {
 	}
 }
 
-// TestPlanPartialMatchesDirectThroughCache re-runs the hammer with a
-// real cache: the miss path fills via the partial combine, and what
-// lands in the cache — and what a second exploration then hits — must
-// still be the direct analysis, bit for bit.
+// TestPlanPartialMatchesDirectThroughCache re-runs the hammer on a
+// scored exploration with a real cache: the miss path fills via the
+// partial combine, and what lands in the cache — and what a second
+// exploration then hits — must still be the direct analysis, bit for
+// bit.
 func TestPlanPartialMatchesDirectThroughCache(t *testing.T) {
 	cat := catalog.SyntheticAlgoHeavy(2, 3, 8)
 	space := synthSpace(cat)
+	ev, err := NewObjective("mission.thermal", cat, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cache := core.NewCache()
-	e := Explorer{Catalog: cat, Space: space, Workers: 1, Cache: cache}
+	e := Explorer{Catalog: cat, Space: space, Workers: 1, Cache: cache, Objective: ev}
 	first, err := e.Enumerate()
 	if err != nil {
 		t.Fatal(err)

@@ -352,20 +352,8 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		storeKey = exploreStoreKey(s.catRev, req)
 		if body, ok := s.store.Get(storeKey); ok {
 			s.metrics.storeExplore.Add(1)
-			serveStored(w, "application/x-ndjson", "hit", body)
+			serveStored(w, "application/x-ndjson", body)
 			return
-		}
-		// A constrained streaming request is a pure filter over its
-		// unconstrained superset: surviving lines are re-emitted with
-		// their original bytes, so the response matches an engine run.
-		if req.TopK == 0 && len(req.Pareto) == 0 && req.Constraints != (dse.Constraints{}) {
-			if body, ok := s.store.Get(supersetKey(s.catRev, req)); ok {
-				if filtered, fok := filterStored(body, req.Constraints); fok {
-					s.metrics.storeFiltered.Add(1)
-					serveStored(w, "application/x-ndjson", "filtered", filtered)
-					return
-				}
-			}
 		}
 	}
 

@@ -129,7 +129,8 @@ func TestExploreStreamBatchesFlushes(t *testing.T) {
 
 // TestExploreStreamTimeoutEndsWithErrorLine: a stream cut by its
 // timeout= ends with an {"error":…} line after the lines already
-// produced, each of which is whole, and the torn body is never stored.
+// produced, each of which is a whole scored candidate, and the torn
+// body is never stored.
 func TestExploreStreamTimeoutEndsWithErrorLine(t *testing.T) {
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
@@ -138,15 +139,16 @@ func TestExploreStreamTimeoutEndsWithErrorLine(t *testing.T) {
 	s := NewServerWith(catalog.Synthetic(5, 16, 16), Options{Cache: core.NewCache(), Store: st, MaxWorkersPerRequest: 2})
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
-	// Slow every analysis (each is a miss in the fresh cache) to 1 ms,
-	// so the 1280-candidate space needs over 600 ms on at most two
-	// workers, while the first lines arrive well inside the timeout.
+	// Slow every scored candidate (each is a miss in the fresh cache,
+	// and the unconstrained space prunes none) to 1 ms, so the
+	// 1280-candidate space needs over 600 ms on at most two workers,
+	// while the first lines arrive well inside the timeout.
 	t.Cleanup(faultinject.Enable(faultinject.SiteCacheFill, faultinject.Fault{Latency: time.Millisecond}))
 
-	body, _ := fetch(t, srv, "/explore?timeout=100ms")
+	body, _ := fetch(t, srv, "/explore?objective=mission.thermal&timeout=100ms")
 	lines := bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
-	if len(lines) < 2 {
-		t.Fatalf("want candidate lines before the error line, got %d lines: %s", len(lines), body)
+	if len(lines) < 2 || len(lines) > 1280 {
+		t.Fatalf("want some but not all 1280 candidate lines before the error line, got %d lines", len(lines))
 	}
 	var last map[string]string
 	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil || last["error"] == "" {
@@ -156,6 +158,9 @@ func TestExploreStreamTimeoutEndsWithErrorLine(t *testing.T) {
 		var c ExploreCandidateJSON
 		if err := json.Unmarshal(line, &c); err != nil || c.Name == "" {
 			t.Fatalf("line %d %q: not a whole candidate (%v)", i, line, err)
+		}
+		if c.Objective != "mission.thermal" || len(c.Metrics) != 3 {
+			t.Fatalf("line %d %q: not a whole mission.thermal candidate", i, line)
 		}
 	}
 	t.Logf("%d candidate lines before the error line", len(lines)-1)
@@ -332,8 +337,8 @@ func TestExploreBadParams(t *testing.T) {
 // criterion end to end against a synthetically enlarged catalog: the
 // first NDJSON line must arrive while the sweep is still running, and
 // closing the connection must cancel the exploration — observed
-// through the server's shared cache, which only grows while workers
-// are analyzing.
+// through the server's scored-analysis cache, which only grows while
+// workers are scoring candidates under the objective.
 func TestExploreStreamsAndDisconnectCancels(t *testing.T) {
 	cat := catalog.Synthetic(10, 40, 40) // 16000 candidates
 	// A private cache isolates the growth observation from other tests
@@ -343,7 +348,7 @@ func TestExploreStreamsAndDisconnectCancels(t *testing.T) {
 	defer srv.Close()
 
 	baseline := runtime.NumGoroutine()
-	resp, err := http.Get(srv.URL + "/explore")
+	resp, err := http.Get(srv.URL + "/explore?objective=mission.thermal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,6 +382,9 @@ func TestExploreStreamsAndDisconnectCancels(t *testing.T) {
 			break
 		}
 		prev = settled
+	}
+	if settled == 0 {
+		t.Fatal("scored cache never grew: the cancellation observation is vacuous")
 	}
 	if settled >= total {
 		t.Fatalf("exploration ran to completion (%d analyses) despite disconnect", settled)

@@ -252,7 +252,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		storeKey = gridStoreKey(s.catRev, req)
 		if body, ok := s.store.Get(storeKey); ok {
 			s.metrics.storeGrid.Add(1)
-			serveStored(w, "image/svg+xml", "hit", body)
+			serveStored(w, "image/svg+xml", body)
 			return
 		}
 	}

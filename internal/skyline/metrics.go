@@ -99,12 +99,10 @@ type serverMetrics struct {
 	// route), so lookups after startup are read-only map hits.
 	endpoints map[string]*endpointStats
 	panics    atomic.Uint64
-	// storeExplore/storeFiltered/storeGrid count responses served from
-	// the persistent result store, by kind: exact /explore artifact,
-	// constraint-filtered superset, and /grid.svg artifact.
-	storeExplore  atomic.Uint64
-	storeFiltered atomic.Uint64
-	storeGrid     atomic.Uint64
+	// storeExplore/storeGrid count responses served from the persistent
+	// result store, by kind: /explore and /grid.svg artifacts.
+	storeExplore atomic.Uint64
+	storeGrid    atomic.Uint64
 }
 
 func newServerMetrics() *serverMetrics {
@@ -233,7 +231,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		sl(`{outcome="miss"}`, float64(ss.Misses))
 		sv := counter("skyline_store_served_total", "Responses served from the store, by kind.")
 		sv(`{kind="explore"}`, float64(s.metrics.storeExplore.Load()))
-		sv(`{kind="explore_filtered"}`, float64(s.metrics.storeFiltered.Load()))
 		sv(`{kind="grid"}`, float64(s.metrics.storeGrid.Load()))
 		counter("skyline_store_spills_total", "Completed responses written as store artifacts.")("", float64(ss.Puts))
 		counter("skyline_store_quarantined_total", "Artifacts that failed verification and were moved aside.")("", float64(ss.Quarantined))

@@ -118,9 +118,10 @@
 // Each request's worker pool is clamped to
 // Options.MaxWorkersPerRequest so one client cannot monopolize the
 // cores: the engine-driven endpoints accept the workers= knob and echo
-// the effective pool size in X-Explore-Workers. Analyses are memoized
-// in the process-wide core.SharedCache (sharded, segmented-LRU
-// eviction) unless Options supplies a dedicated cache.
+// the effective pool size in X-Explore-Workers. Single analyses and
+// objective-scored explorations are memoized in the process-wide
+// core.SharedCache (sharded, segmented-LRU eviction) unless Options
+// supplies a dedicated cache; plain explorations recompute.
 //
 // cmd/skyline exposes these as -cache-entries, -max-inflight,
 // -queue-depth, -default-timeout, -client-rps and

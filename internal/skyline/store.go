@@ -2,23 +2,20 @@ package skyline
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
-
-	"repro/internal/dse"
 )
 
 // This file is the serve-from-store layer: canonical keys for the
-// persistent result tier (internal/store), the tee that spills a
-// completed response as an artifact, and the constraint filter that
-// answers a tightened /explore from a stored superset. The key
-// grammar and determinism contract are specified in
-// docs/PERSISTENCE.md; docs/INVARIANTS.md states the rule the whole
-// layer rests on — identical canonical keys must mean byte-identical
-// responses.
+// persistent result tier (internal/store) and the tee that spills a
+// completed response as an artifact. A request is served from the
+// store only on an exact key match; anything else recomputes and
+// spills under its own key. The key grammar and determinism contract
+// are specified in docs/PERSISTENCE.md; docs/INVARIANTS.md states the
+// rule the whole layer rests on — identical canonical keys must mean
+// byte-identical responses.
 
 // maxSpillBytes bounds how much of a streaming /explore response is
 // buffered for spilling: past it the response still streams but is
@@ -77,15 +74,6 @@ func exploreStoreKey(rev string, req ExploreRequest) string {
 	return b.String()
 }
 
-// supersetKey is the key of the same exploration with no constraints:
-// the superset whose stored NDJSON a constrained streaming request is
-// a pure filter over (constraints only prune candidates; they never
-// change a surviving line's bytes).
-func supersetKey(rev string, req ExploreRequest) string {
-	req.Constraints = dse.Constraints{}
-	return exploreStoreKey(rev, req)
-}
-
 // gridStoreKey builds the canonical key of a parsed /grid.svg
 // request: every knob that shapes the rendered SVG, plus the catalog
 // fingerprint. Workers is excluded (the sweep is deterministic at any
@@ -133,13 +121,12 @@ func gridStoreKey(rev string, req GridRequest) string {
 	return b.String()
 }
 
-// serveStored writes a stored artifact as the complete response.
-// kind labels the X-Explore-Store header: "hit" for an exact key
-// match, "filtered" for a superset-derived answer.
-func serveStored(w http.ResponseWriter, contentType, kind string, body []byte) {
+// serveStored writes a stored artifact as the complete response,
+// flagged by an "X-Explore-Store: hit" header.
+func serveStored(w http.ResponseWriter, contentType string, body []byte) {
 	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.Header().Set("X-Explore-Store", kind)
+	w.Header().Set("X-Explore-Store", "hit")
 	_, _ = w.Write(body) // a failure means the client left
 }
 
@@ -173,61 +160,4 @@ type teeWriter struct {
 func (t teeWriter) Write(p []byte) (int, error) {
 	_, _ = t.spill.Write(p)
 	return t.w.Write(p)
-}
-
-// storedLine is the minimal decode of one stored /explore NDJSON line
-// needed to re-apply constraints. The fields round-trip exactly: the
-// encoder emits the shortest representation of each float64, and
-// JSONFloat decodes null back to +Inf (the only non-finite these
-// fields produce).
-type storedLine struct {
-	VSafeMS  JSONFloat `json:"v_safe_ms"`
-	PowerW   JSONFloat `json:"power_w"`
-	PayloadG JSONFloat `json:"payload_g"`
-}
-
-// allowsStored mirrors dse.Constraints.Allows over a decoded line.
-// Power and velocity compare in their storage units (identity
-// conversions — exact). Payload compares in grams against the
-// constraint's gram value; see docs/PERSISTENCE.md for the one-ulp
-// boundary caveat of the grams↔kilograms round trip.
-func allowsStored(cons dse.Constraints, l storedLine) bool {
-	if cons.MaxPayload > 0 && float64(l.PayloadG) > cons.MaxPayload.Grams() {
-		return false
-	}
-	if cons.MaxPower > 0 && float64(l.PowerW) > float64(cons.MaxPower) {
-		return false
-	}
-	if cons.MinVelocity > 0 && float64(l.VSafeMS) < float64(cons.MinVelocity) {
-		return false
-	}
-	return true
-}
-
-// filterStored answers a constrained streaming exploration from its
-// stored unconstrained superset: every stored line that passes the
-// constraints is re-emitted with its original bytes, which keeps the
-// response byte-identical to an engine run (constraints are a pure
-// prune over the same deterministic candidate order). A line that
-// fails to decode aborts the whole attempt (ok=false) — the engine
-// recomputes rather than risk serving a half-understood artifact.
-func filterStored(body []byte, cons dse.Constraints) (out []byte, ok bool) {
-	var buf bytes.Buffer
-	rest := body
-	for len(rest) > 0 {
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			return nil, false // stored streams are newline-terminated
-		}
-		line := rest[:nl+1]
-		rest = rest[nl+1:]
-		var l storedLine
-		if err := json.Unmarshal(line, &l); err != nil {
-			return nil, false
-		}
-		if allowsStored(cons, l) {
-			buf.Write(line)
-		}
-	}
-	return buf.Bytes(), true
 }
