@@ -10,7 +10,8 @@
 // presets:
 //
 //   - Explorer (explore.go) pre-resolves every axis value against the
-//     catalog once, then fans the cross product out across the
+//     catalog once, walks the cross product inline and, once the mean
+//     cost per candidate pays for fan-out, hands the rest to the
 //     package's work-stealing scheduler (pool.go): per-worker deques
 //     seeded with coarse contiguous index ranges, small claim grains,
 //     and steal-half splitting when a worker runs dry — so skewed
@@ -19,7 +20,7 @@
 //     behind one slow fixed-size chunk. Grain results are re-merged in
 //     index order by a bounded reorder sink, so the output is
 //     deterministic and element-for-element identical to a serial scan
-//     for every worker count, grain size and steal interleaving.
+//     for every worker count, grain, split point and steal interleaving.
 //     Explorer.Candidates streams the space as an iter.Seq2, so
 //     callers can filter or stop early without materializing it;
 //     Explorer.ExploreContext (and its no-context shorthand Enumerate)

@@ -6,6 +6,8 @@ import (
 	"iter"
 	"runtime"
 	"strings"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -13,22 +15,24 @@ import (
 	"repro/internal/units"
 )
 
-// Explorer is the design-space exploration engine: it fans the
-// (UAV × compute × algorithm × sensor) cross product out across the
-// package's work-stealing scheduler and streams the surviving
-// candidates in the canonical serial order, so parallel output is
-// element-for-element identical to Workers=1 output even when the
-// space is skewed and cells rebalance between workers mid-flight.
+// Explorer is the design-space exploration engine: it walks the
+// (UAV × compute × algorithm × sensor) cross product inline on the
+// caller's goroutine, hands the rest of the space to the package's
+// work-stealing scheduler once the measured cost per candidate pays
+// for it, and streams the survivors in the canonical serial order —
+// element-for-element identical to Workers=1 output, even when cells
+// rebalance between workers mid-flight.
 type Explorer struct {
 	Catalog     *catalog.Catalog
 	Space       Space
 	Constraints Constraints
-	// Workers bounds the pool: 0 picks GOMAXPROCS, 1 runs serially
-	// inline (no goroutines).
+	// Workers caps the pool a run escalates to: 0 picks GOMAXPROCS, 1
+	// never escalates (no goroutines). A run that stays inline uses
+	// only the caller's goroutine whatever the cap.
 	Workers int
-	// ChunkSize is the scheduler's claim grain — the number of
-	// candidates a worker takes from its deque at once; 0 picks a size
-	// that rebalances skewed cells without measurable claim overhead.
+	// ChunkSize is the grain: candidates analyzed inline between
+	// escalation checks, and claimed at once by a pool worker; 0 picks a
+	// size that rebalances skewed cells without measurable claim overhead.
 	ChunkSize int
 	// Cache memoizes scored analyses across explorations (e.g. a server
 	// re-ranking a popular space under one Objective). Plain candidates
@@ -52,22 +56,6 @@ func (e Explorer) cache() *core.Cache {
 		return e.Cache
 	}
 	return core.SharedCache()
-}
-
-// workers resolves the effective pool size.
-func (e Explorer) workers() int {
-	if e.Workers > 0 {
-		return e.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// grain resolves the scheduler's claim quantum for n candidates.
-func (e Explorer) grain(n, workers int) int {
-	if e.ChunkSize > 0 {
-		return e.ChunkSize
-	}
-	return stealGrain(n, workers)
 }
 
 // plan is the pre-resolved, partially evaluated exploration: every
@@ -349,8 +337,9 @@ func (p *plan) candidateInto(ctx context.Context, i int, cand *Candidate, arena 
 	if p.obj != nil {
 		return p.candidateScoredInto(ctx, cl, sc, uav, comp, mp, sensorStage, controlStage, cand, arena)
 	}
-	// The caller's slot may have carried a scored candidate (the serial
-	// paths reuse one); a plain exploration must not leak stale metrics.
+	// The caller's slot may have carried a scored candidate (the inline
+	// grain buffer is reused); a plain exploration must not leak stale
+	// metrics.
 	cand.Metrics = nil
 	if err = core.AnalyzeWithPartialInto(mp, cl.name, sensorStage, cl.stage, controlStage, arena, &cand.Analysis); err != nil {
 		return false, fmt.Errorf("dse: analyzing %s/%s/%s: %w", uav.Name, comp.Name, cl.algo, err)
@@ -438,42 +427,62 @@ func (p *plan) candidateScoredInto(ctx context.Context, cl *cell, sc *sensorChoi
 	return true, nil
 }
 
-// processChunk analyzes candidates [start,end), returning the survivors
-// in order. On error — including cancellation of ctx, checked between
-// candidates so in-flight chunks abort instead of draining — it returns
-// the survivors found before the failing candidate together with the
-// error. A panicking analysis (corrupt model data, an armed fault) is
-// recovered into an error rather than unwinding: chunks run on pool
-// goroutines, where an escaped panic would kill the whole process
-// instead of failing one request.
-func (p *plan) processChunk(ctx context.Context, start, end int) (out []Candidate, err error) {
+// escalateAfter is the mean analysis time per candidate from which an
+// inline run hands the rest of its space to the pool: the break-even of
+// the Serial and Parallel Enumerate rows on 2 vCPUs, where the pool adds
+// ~0.9 µs per candidate, so two workers pay from ~1.8 µs. Plain F-1
+// candidates (~0.4 µs), cheap objectives and scored-cache hits stay
+// inline; mission.stochastic (~65 µs) escalates after one grain.
+const escalateAfter = 2 * time.Microsecond
+
+// Test seams: forceEscalate, when set, decides each grain boundary lo in
+// place of the measurement; poolGrains counts the grains the pool ran.
+var (
+	forceEscalate func(lo int) bool
+	poolGrains    atomic.Int64
+)
+
+// escalate reports whether [lo,n) goes to the pool: more than one grain
+// is left and the inline prefix spent escalateAfter per candidate.
+func escalate(lo, n, grain int, spent time.Duration) bool {
+	if forceEscalate != nil {
+		return forceEscalate(lo)
+	}
+	return lo > 0 && n-lo > grain && spent >= time.Duration(lo)*escalateAfter
+}
+
+// newArena returns a Ceilings block for size candidates, or nil on the
+// memoized path: a cached entry must own an exact-size slice.
+func (p *plan) newArena(size int) *[]core.Ceiling {
+	if p.memoized {
+		return nil
+	}
+	a := make([]core.Ceiling, 0, 3*min(size, 1024))
+	return &a
+}
+
+// processChunk analyzes candidates [start,end) and appends the
+// survivors in order to out, which must have room for them. On error —
+// including cancellation of ctx, checked between candidates so a chunk
+// aborts instead of draining — it returns the survivors found before
+// the failing candidate with the error. A panicking analysis (corrupt
+// model data, an armed fault) is recovered into an error rather than
+// unwinding the request goroutine or, on the pool, the process.
+func (p *plan) processChunk(ctx context.Context, out []Candidate, arena *[]core.Ceiling, start, end int) (res []Candidate, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("dse: panic analyzing candidates [%d,%d): %v", start, end, r)
+			res, err = nil, fmt.Errorf("dse: panic analyzing candidates [%d,%d): %v", start, end, r)
 		}
 	}()
 	if err := faultinject.Fire(faultinject.SiteDSEChunk); err != nil {
 		return nil, fmt.Errorf("dse: chunk [%d,%d): %w", start, end, err)
 	}
-	return p.processChunkBody(ctx, start, end)
+	return p.processChunkBody(ctx, out, arena, start, end)
 }
 
 //reprolint:hotpath
-func (p *plan) processChunkBody(ctx context.Context, start, end int) ([]Candidate, error) {
+func (p *plan) processChunkBody(ctx context.Context, out []Candidate, arena *[]core.Ceiling, start, end int) ([]Candidate, error) {
 	done := ctx.Done() // one channel load; the per-candidate check is a cheap select
-	out := make([]Candidate, 0, end-start)
-	// One Ceilings block per chunk (up to 3 per candidate): the chunk's
-	// survivors collectively own it, exactly like the out slice itself.
-	// The memoized path allocates exact-size slices instead (a cached
-	// entry must not pin a block), so skip the arena there.
-	var arena *[]core.Ceiling
-	if !p.memoized {
-		// Capped: the serial ExploreContext path routes the whole space
-		// through one chunk, and the combine rolls over to fresh blocks
-		// anyway when a block fills.
-		a := make([]core.Ceiling, 0, 3*min(end-start, 1024))
-		arena = &a
-	}
 	for i := start; i < end; i++ {
 		select {
 		case <-done:
@@ -494,6 +503,52 @@ func (p *plan) processChunkBody(ctx context.Context, start, end int) ([]Candidat
 	return out, nil
 }
 
+// start resolves e's plan; a nil ctx runs uncancellable.
+func (e Explorer) start(ctx context.Context) (context.Context, *plan, error) {
+	if ctx == nil {
+		//reprolint:allow ctxflow nil-ctx compatibility guard, documented as running uncancellable
+		ctx = context.Background()
+	}
+	p, err := newPlan(e.Catalog, e.Space, e.Constraints, e.cache(), e.Objective)
+	return ctx, p, err
+}
+
+// grains is the one exploration path: each grain's survivors in
+// canonical order, then the first error. The run is inline, a grain at
+// a time into one reused buffer, until a grain boundary lo finds the
+// candidates expensive enough (see escalate); the pool's ordered sink
+// then resumes the stream at lo, so the bytes are the serial scan's.
+func (e Explorer) grains(ctx context.Context, p *plan) iter.Seq2[[]Candidate, error] {
+	return func(yield func([]Candidate, error) bool) {
+		n, workers, grain := p.total(), e.Workers, e.ChunkSize
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		if grain <= 0 {
+			grain = stealGrain(n, workers)
+		}
+		buf := make([]Candidate, 0, min(grain, n))
+		arena := p.newArena(n)
+		var spent time.Duration
+		for lo := 0; lo < n; lo += grain {
+			if workers > 1 && escalate(lo, n, grain, spent) {
+				for cands, err := range streamStealing(ctx, p, lo, n, grain, workers) {
+					if !yield(cands, err) {
+						return
+					}
+				}
+				return
+			}
+			t0 := time.Now()
+			cands, err := p.processChunk(ctx, buf[:0], arena, lo, min(lo+grain, n))
+			spent += time.Since(t0)
+			if !yield(cands, err) || err != nil {
+				return
+			}
+		}
+	}
+}
+
 // Candidates streams the exploration as an iterator: candidates arrive
 // in canonical (UAV, compute, algorithm, sensor) order regardless of
 // the worker count, and callers can stop early — remaining work is
@@ -502,52 +557,12 @@ func (p *plan) processChunkBody(ctx context.Context, start, end int) ([]Candidat
 // surfaces ctx's error. A non-nil error is the final element.
 func (e Explorer) Candidates(ctx context.Context) iter.Seq2[Candidate, error] {
 	return func(yield func(Candidate, error) bool) {
-		if ctx == nil {
-			//reprolint:allow ctxflow nil-ctx compatibility guard, documented as running uncancellable
-			ctx = context.Background()
-		}
-		p, err := newPlan(e.Catalog, e.Space, e.Constraints, e.cache(), e.Objective)
+		ctx, p, err := e.start(ctx)
 		if err != nil {
 			yield(Candidate{}, err)
 			return
 		}
-		n := p.total()
-		if n == 0 {
-			return
-		}
-		workers := e.workers()
-		grain := e.grain(n, workers)
-		if workers == 1 || n <= grain {
-			done := ctx.Done()
-			var cand Candidate
-			// Block-granular arena (non-memoized only): yielded
-			// candidates may be retained by the consumer, so exhausted
-			// blocks are simply left to them and fresh ones started
-			// (inside the combine).
-			var arena *[]core.Ceiling
-			if !p.memoized {
-				a := make([]core.Ceiling, 0, 3*min(n, 1024))
-				arena = &a
-			}
-			for i := 0; i < n; i++ {
-				select {
-				case <-done:
-					yield(Candidate{}, ctx.Err())
-					return
-				default:
-				}
-				ok, err := p.candidateInto(ctx, i, &cand, arena)
-				if err != nil {
-					yield(Candidate{}, err)
-					return
-				}
-				if ok && !yield(cand, nil) {
-					return
-				}
-			}
-			return
-		}
-		for cands, err := range streamStealing(ctx, p, n, grain, workers) {
+		for cands, err := range e.grains(ctx, p) {
 			for _, c := range cands {
 				if !yield(c, nil) {
 					return
@@ -562,35 +577,20 @@ func (e Explorer) Candidates(ctx context.Context) iter.Seq2[Candidate, error] {
 }
 
 // ExploreContext collects the full exploration, honoring ctx: on
-// cancellation the workers stop between candidates and the context's
+// cancellation the run stops between candidates and the context's
 // error is returned. The result is identical — same candidates, same
 // order — for every worker count.
 func (e Explorer) ExploreContext(ctx context.Context) ([]Candidate, error) {
-	if ctx == nil {
-		//reprolint:allow ctxflow nil-ctx compatibility guard, documented as running uncancellable
-		ctx = context.Background()
-	}
-	var out []Candidate
-	p, err := newPlan(e.Catalog, e.Space, e.Constraints, e.cache(), e.Objective)
+	ctx, p, err := e.start(ctx)
 	if err != nil {
 		return nil, err
 	}
-	n := p.total()
-	workers := e.workers()
-	grain := e.grain(n, workers)
-	if workers == 1 || n <= grain {
-		// Serial: one output allocation, no handoff buffers.
-		cands, err := p.processChunk(ctx, 0, n)
+	out := make([]Candidate, 0, p.total())
+	for cands, err := range e.grains(ctx, p) {
 		if err != nil {
 			return nil, err
 		}
-		return cands, nil
-	}
-	for cands, err := range streamStealing(ctx, p, n, grain, workers) {
 		out = append(out, cands...)
-		if err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }
@@ -603,8 +603,8 @@ func (e Explorer) Enumerate() ([]Candidate, error) {
 	return e.ExploreContext(context.Background())
 }
 
-// Enumerate analyzes every combination in the space using the parallel
-// engine with default settings. Unknown axis values — including
+// Enumerate analyzes every combination in the space using the engine
+// with default settings. Unknown axis values — including
 // algorithm names the catalog has never registered — are errors;
 // combinations with no performance-table entry (a registered algorithm
 // never measured on a platform) are skipped silently, as they are not

@@ -46,6 +46,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if len(serial) != 4*9*7 {
 		t.Fatalf("serial explored %d candidates, want %d", len(serial), 4*9*7)
 	}
+	poolRan := onPool(t)
 	for _, workers := range []int{2, 3, 8, 32} {
 		for _, chunk := range []int{0, 1, 7, 64, 10000} {
 			par, err := Explorer{Catalog: cat, Space: space, Workers: workers, ChunkSize: chunk}.Enumerate()
@@ -53,6 +54,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
 			}
 			requireEqualCandidates(t, serial, par)
+			poolRan()
 		}
 	}
 }
@@ -68,11 +70,13 @@ func TestParallelMatchesSerialWithConstraints(t *testing.T) {
 	if len(serial) == 0 || len(serial) == 3*8*8 {
 		t.Fatalf("constraints should prune some but not all (kept %d)", len(serial))
 	}
+	poolRan := onPool(t)
 	par, err := Explorer{Catalog: cat, Space: space, Constraints: cons, Workers: 6, ChunkSize: 5}.Enumerate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireEqualCandidates(t, serial, par)
+	poolRan()
 }
 
 func TestParallelMatchesSerialWithSensorAxis(t *testing.T) {
@@ -87,11 +91,13 @@ func TestParallelMatchesSerialWithSensorAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	poolRan := onPool(t)
 	par, err := Explorer{Catalog: cat, Space: space, Workers: 4, ChunkSize: 3}.Enumerate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireEqualCandidates(t, serial, par)
+	poolRan()
 	// The sensor axis multiplies the space.
 	noSensors := space
 	noSensors.Sensors = nil
@@ -122,6 +128,7 @@ func TestExplorerMatchesLegacyEnumerate(t *testing.T) {
 func TestCandidatesStreamMatchesEnumerate(t *testing.T) {
 	cat := catalog.Synthetic(3, 7, 5)
 	space := synthSpace(cat)
+	poolRan := onPool(t)
 	for _, workers := range []int{1, 4} {
 		e := Explorer{Catalog: cat, Space: space, Workers: workers, ChunkSize: 10}
 		want, err := e.Enumerate()
@@ -136,16 +143,20 @@ func TestCandidatesStreamMatchesEnumerate(t *testing.T) {
 			got = append(got, cand)
 		}
 		requireEqualCandidates(t, want, got)
+		if workers > 1 {
+			poolRan()
+		}
 	}
 }
 
 func TestCandidatesEarlyBreak(t *testing.T) {
 	cat := catalog.Synthetic(3, 7, 5)
 	e := Explorer{Catalog: cat, Space: synthSpace(cat), Workers: 4, ChunkSize: 4}
-	full, err := e.Enumerate()
+	full, err := Explorer{Catalog: cat, Space: e.Space, Workers: 1}.Enumerate()
 	if err != nil {
 		t.Fatal(err)
 	}
+	poolRan := onPool(t)
 	for _, stop := range []int{0, 1, 5, 17, 50} {
 		var got []Candidate
 		for cand, err := range e.Candidates(context.Background()) {
@@ -161,6 +172,7 @@ func TestCandidatesEarlyBreak(t *testing.T) {
 			t.Fatalf("early break at %d collected %d", stop, len(got))
 		}
 		requireEqualCandidates(t, full[:len(got)], got)
+		poolRan()
 	}
 }
 
@@ -175,6 +187,7 @@ func TestExplorerSharedCache(t *testing.T) {
 	}
 	cache := core.NewCache()
 	e := Explorer{Catalog: cat, Space: synthSpace(cat), Workers: 4, ChunkSize: 3, Cache: cache, Objective: ev}
+	poolRan := onPool(t)
 	first, err := e.Enumerate()
 	if err != nil {
 		t.Fatal(err)
@@ -187,6 +200,7 @@ func TestExplorerSharedCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireEqualCandidates(t, first, second)
+	poolRan()
 	// And against an uncached run.
 	plain, err := Explorer{Catalog: cat, Space: e.Space, Workers: 1, Cache: core.CacheOff(), Objective: ev}.Enumerate()
 	if err != nil {
@@ -206,6 +220,7 @@ func TestPlainExplorationSkipsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	poolRan := onPool(t)
 	for _, workers := range []int{1, 2, 4} {
 		cache := core.NewCache()
 		got, err := Explorer{Catalog: cat, Space: space, Workers: workers, ChunkSize: 3, Cache: cache}.Enumerate()
@@ -213,6 +228,9 @@ func TestPlainExplorationSkipsCache(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		requireEqualCandidates(t, want, got)
+		if workers > 1 {
+			poolRan()
+		}
 		if st := cache.Stats(); st.Hits+st.Misses != 0 || st.Entries != 0 {
 			t.Fatalf("workers=%d: plain exploration touched the cache: %+v", workers, st)
 		}
@@ -339,12 +357,14 @@ func TestExplorerChunkBoundariesCoverSpace(t *testing.T) {
 	if len(want) != 50 {
 		t.Fatalf("space size %d, want 50", len(want))
 	}
+	poolRan := onPool(t)
 	for _, chunk := range []int{1, 2, 5, 7, 25, 49, 50, 51, 1000} {
 		got, err := Explorer{Catalog: cat, Space: space, Workers: 3, ChunkSize: chunk}.Enumerate()
 		if err != nil {
 			t.Fatalf("chunk=%d: %v", chunk, err)
 		}
 		requireEqualCandidates(t, want, got)
+		poolRan()
 	}
 }
 
@@ -361,16 +381,19 @@ func TestExplorerLargeSpaceSmoke(t *testing.T) {
 	if len(serial) != 1280 {
 		t.Fatalf("space size %d, want 1280", len(serial))
 	}
+	poolRan := onPool(t)
 	par, err := Explorer{Catalog: cat, Space: space, Workers: 8}.Enumerate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireEqualCandidates(t, serial, par)
+	poolRan()
 }
 
 func TestExplorerDeterministicAcrossRuns(t *testing.T) {
 	cat := catalog.Synthetic(3, 6, 6)
 	e := Explorer{Catalog: cat, Space: synthSpace(cat), Workers: 5, ChunkSize: 3}
+	poolRan := onPool(t)
 	first, err := e.Enumerate()
 	if err != nil {
 		t.Fatal(err)
@@ -381,6 +404,7 @@ func TestExplorerDeterministicAcrossRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireEqualCandidates(t, first, again)
+		poolRan()
 	}
 }
 
@@ -427,6 +451,7 @@ func goroutineCount(t *testing.T, baseline int, within time.Duration) int {
 func TestCandidatesEarlyBreakLeavesNoGoroutines(t *testing.T) {
 	cat := catalog.Synthetic(5, 16, 16) // 1280 candidates
 	e := Explorer{Catalog: cat, Space: synthSpace(cat), Workers: 8, ChunkSize: 16}
+	poolRan := onPool(t)
 	baseline := runtime.NumGoroutine()
 	for round := 0; round < 5; round++ {
 		for cand, err := range e.Candidates(context.Background()) {
@@ -436,6 +461,7 @@ func TestCandidatesEarlyBreakLeavesNoGoroutines(t *testing.T) {
 			_ = cand
 			break // early exit after the first candidate
 		}
+		poolRan()
 	}
 	if n := goroutineCount(t, baseline, 2*time.Second); n > baseline {
 		t.Fatalf("goroutines after early break: %d, baseline %d — pool leaked workers", n, baseline)
@@ -444,6 +470,7 @@ func TestCandidatesEarlyBreakLeavesNoGoroutines(t *testing.T) {
 
 func TestCandidatesContextCancel(t *testing.T) {
 	cat := catalog.Synthetic(4, 10, 8) // 320 candidates
+	poolRan := onPool(t)
 	for _, workers := range []int{1, 6} {
 		e := Explorer{Catalog: cat, Space: synthSpace(cat), Workers: workers, ChunkSize: 8}
 		ctx, cancel := context.WithCancel(context.Background())
@@ -466,6 +493,9 @@ func TestCandidatesContextCancel(t *testing.T) {
 		if !errors.Is(sawErr, context.Canceled) {
 			t.Fatalf("workers=%d: error = %v, want context.Canceled", workers, sawErr)
 		}
+		if workers > 1 {
+			poolRan()
+		}
 		// The candidates yielded before cancellation are still the
 		// canonical prefix.
 		full, err := Explorer{Catalog: cat, Space: e.Space, Workers: 1}.Enumerate()
@@ -480,6 +510,13 @@ func TestExploreContextCancelled(t *testing.T) {
 	cat := catalog.Synthetic(4, 10, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already dead
+	// A dead context lets no grain run, so the pool's leg is proven by
+	// the handoff itself.
+	handoffs := 0
+	escalateAt(t, func(lo int) bool {
+		handoffs++
+		return lo == 0
+	})
 	for _, workers := range []int{1, 6} {
 		e := Explorer{Catalog: cat, Space: synthSpace(cat), Workers: workers, ChunkSize: 8}
 		cands, err := e.ExploreContext(ctx)
@@ -490,18 +527,23 @@ func TestExploreContextCancelled(t *testing.T) {
 			t.Fatalf("workers=%d: cancelled exploration returned %d candidates", workers, len(cands))
 		}
 	}
+	if handoffs == 0 {
+		t.Fatal("the workers=6 run never handed off to the pool")
+	}
 }
 
 func TestExploreContextMatchesEnumerate(t *testing.T) {
 	cat := catalog.Synthetic(3, 7, 5)
 	e := Explorer{Catalog: cat, Space: synthSpace(cat), Workers: 4, ChunkSize: 10}
-	want, err := e.Enumerate()
+	want, err := Explorer{Catalog: cat, Space: e.Space, Workers: 1}.Enumerate()
 	if err != nil {
 		t.Fatal(err)
 	}
+	poolRan := onPool(t)
 	got, err := e.ExploreContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireEqualCandidates(t, want, got)
+	poolRan()
 }

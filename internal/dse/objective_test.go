@@ -73,6 +73,7 @@ func TestObjectiveParallelMatchesSerial(t *testing.T) {
 					t.Fatalf("%s: %d metric columns, want %d", c.Name(), len(c.Metrics), len(ev.Columns()))
 				}
 			}
+			poolRan := onPool(t)
 			for _, workers := range []int{2, 4, 8} {
 				for _, cache := range []*core.Cache{core.CacheOff(), core.NewCache()} {
 					par, err := Explorer{Catalog: cat, Space: space, Workers: workers, Objective: ev, Cache: cache}.Enumerate()
@@ -80,6 +81,7 @@ func TestObjectiveParallelMatchesSerial(t *testing.T) {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
 					requireEqualCandidates(t, serial, par)
+					poolRan()
 				}
 			}
 		})

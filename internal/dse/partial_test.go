@@ -125,6 +125,7 @@ func TestParallelMatchesSerialAlgoHeavy(t *testing.T) {
 	if len(serial) != 2*4*40 {
 		t.Fatalf("serial explored %d candidates, want %d", len(serial), 2*4*40)
 	}
+	poolRan := onPool(t)
 	for _, workers := range []int{2, 4, 16} {
 		for _, grain := range []int{0, 1, 13, 512} {
 			par, err := Explorer{Catalog: cat, Space: space, Workers: workers, ChunkSize: grain, Cache: core.CacheOff()}.Enumerate()
@@ -132,6 +133,7 @@ func TestParallelMatchesSerialAlgoHeavy(t *testing.T) {
 				t.Fatalf("workers=%d grain=%d: %v", workers, grain, err)
 			}
 			requireEqualCandidates(t, serial, par)
+			poolRan()
 		}
 	}
 }

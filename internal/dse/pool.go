@@ -9,10 +9,10 @@ import (
 )
 
 // This file is the dse package's internal work-stealing scheduler — the
-// one engine behind Explorer.Candidates/ExploreContext and the
+// pool an Explorer run escalates to, and the engine behind the
 // Sweep/GridSweep evaluators (forEachParallel in sweep.go).
 //
-// The candidate index space [0,n) is split into one coarse contiguous
+// The index range [lo,n) is split into one coarse contiguous
 // range per worker, seeded into per-worker deques. A worker claims small
 // grains from the low end of its own deque; when the deque runs dry it
 // steals half of the richest victim's remaining indices from the HIGH
@@ -143,25 +143,22 @@ func stealGrain(n, workers int) int {
 	return g
 }
 
-// stealRun fans process over [0,n) across a pool of workers with
+// stealRun fans process over [lo,n) across a pool of workers with
 // work stealing and blocks until every worker has exited. Each worker
-// repeatedly claims a grain-sized span (own deque lowest-first, else
-// steal-half from the richest victim) and calls process on it; process
-// returning false aborts the whole pool, as does ctx expiring. Claimed
-// spans are always handed to process exactly once; on abort, unclaimed
-// spans are simply dropped.
+// repeatedly claims a span of at most grain (≥ 1) indices (own deque
+// lowest-first, else steal-half from the richest victim) and calls
+// process on it; process returning false aborts the whole pool, as
+// does ctx expiring. Claimed spans are always handed to process
+// exactly once; on abort, unclaimed spans are simply dropped.
 //
 //reprolint:hotpath
-func stealRun(ctx context.Context, n, workers, grain int, process func(w int, g span) bool) {
-	if grain < 1 {
-		grain = 1
-	}
+func stealRun(ctx context.Context, lo, n, workers, grain int, process func(w int, g span) bool) {
 	deques := make([]stealDeque, workers)
 	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		if lo < hi {
-			deques[w].spans = []span{{start: lo, end: hi}}
-			deques[w].remaining.Store(int64(hi - lo))
+		a, b := lo+w*(n-lo)/workers, lo+(w+1)*(n-lo)/workers
+		if a < b {
+			deques[w].spans = []span{{start: a, end: b}}
+			deques[w].remaining.Store(int64(b - a))
 		}
 	}
 	var stop atomic.Bool
@@ -261,8 +258,8 @@ type orderedSink struct {
 	done     bool // all producers exited
 }
 
-func newOrderedSink(maxAhead int) *orderedSink {
-	o := &orderedSink{results: make(map[int]chunkResult), maxAhead: maxAhead}
+func newOrderedSink(next, maxAhead int) *orderedSink {
+	o := &orderedSink{next: next, results: make(map[int]chunkResult), maxAhead: maxAhead}
 	o.cond.L = &o.mu
 	return o
 }
@@ -323,7 +320,7 @@ func (o *orderedSink) finish() {
 	o.mu.Unlock()
 }
 
-// streamStealing runs the plan over [0,n) on the work-stealing pool and
+// streamStealing runs the plan over [lo,n) on the work-stealing pool and
 // yields each grain's surviving candidates in ascending index order, so
 // the merged stream is byte-identical to a serial scan while the
 // workers rebalance freely.
@@ -338,13 +335,13 @@ func (o *orderedSink) finish() {
 // error; iteration stops after the first error, which — because grains
 // are yielded in order — is the same error a serial scan would hit
 // first. A parent-context cancellation surfaces as ctx.Err().
-func streamStealing(ctx context.Context, p *plan, n, grain, workers int) iter.Seq2[[]Candidate, error] {
+func streamStealing(ctx context.Context, p *plan, lo, n, grain, workers int) iter.Seq2[[]Candidate, error] {
 	return func(yield func([]Candidate, error) bool) {
 		// cancel fires on every exit path: early consumer break, error,
 		// or normal completion (a no-op by then).
 		ctx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		sink := newOrderedSink(max(2*workers, 4))
+		sink := newOrderedSink(lo, max(2*workers, 4))
 		defer sink.close()
 		// A dead context must also release publishers blocked on a full
 		// reorder buffer — without this, an external cancellation could
@@ -352,8 +349,9 @@ func streamStealing(ctx context.Context, p *plan, n, grain, workers int) iter.Se
 		stop := context.AfterFunc(ctx, sink.close)
 		defer stop()
 		go func() {
-			stealRun(ctx, n, workers, grain, func(_ int, g span) bool {
-				cands, err := p.processChunk(ctx, g.start, g.end)
+			stealRun(ctx, lo, n, workers, grain, func(_ int, g span) bool {
+				poolGrains.Add(1)
+				cands, err := p.processChunk(ctx, make([]Candidate, 0, g.size()), p.newArena(g.size()), g.start, g.end)
 				return sink.publish(g, cands, err)
 			})
 			sink.finish()

@@ -24,7 +24,7 @@ func TestStealRunCoversSpaceExactlyOnce(t *testing.T) {
 		for _, workers := range []int{1, 2, 5, 16} {
 			for _, grain := range []int{1, 8, 512} {
 				counts := make([]atomic.Int32, n)
-				stealRun(context.Background(), n, workers, grain, func(_ int, g span) bool {
+				stealRun(context.Background(), 0, n, workers, grain, func(_ int, g span) bool {
 					for i := g.start; i < g.end; i++ {
 						counts[i].Add(1)
 					}
@@ -68,6 +68,7 @@ func TestStealSkewedMatchesSerial(t *testing.T) {
 	if len(serial) != 6*8*8 {
 		t.Fatalf("serial explored %d candidates, want %d", len(serial), 6*8*8)
 	}
+	poolRan := onPool(t)
 	for _, workers := range []int{2, 3, 8, 32} {
 		for _, grain := range []int{0, 1, 7, 64} {
 			e := skewedExplorer(workers, grain)
@@ -76,6 +77,7 @@ func TestStealSkewedMatchesSerial(t *testing.T) {
 				t.Fatalf("workers=%d grain=%d: %v", workers, grain, err)
 			}
 			requireEqualCandidates(t, serial, par)
+			poolRan()
 			// The streaming path merges through the ordered sink; it
 			// must agree too, including under an early break.
 			var got []Candidate
@@ -89,6 +91,7 @@ func TestStealSkewedMatchesSerial(t *testing.T) {
 				}
 			}
 			requireEqualCandidates(t, serial[:len(got)], got)
+			poolRan()
 		}
 	}
 }
@@ -155,6 +158,7 @@ func TestForEachParallelLowestError(t *testing.T) {
 // down and surface context.Canceled, round after round.
 func TestStealCancellationNoLeaks(t *testing.T) {
 	e := skewedExplorer(8, 4)
+	poolRan := onPool(t)
 	baseline := runtime.NumGoroutine()
 	for round := 0; round < 8; round++ {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -177,6 +181,7 @@ func TestStealCancellationNoLeaks(t *testing.T) {
 		if !errors.Is(sawErr, context.Canceled) {
 			t.Fatalf("round %d: error = %v, want context.Canceled", round, sawErr)
 		}
+		poolRan()
 	}
 	if n := goroutineCount(t, baseline, 5*time.Second); n > baseline {
 		t.Fatalf("goroutines after cancelled rounds: %d, baseline %d — scheduler leaked", n, baseline)

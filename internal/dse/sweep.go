@@ -251,7 +251,7 @@ func forEachParallel(ctx context.Context, n, workers int, eval func(i int) error
 	}
 	var mu sync.Mutex
 	firstIdx, firstErr := n, error(nil)
-	stealRun(ctx, n, workers, stealGrain(n, workers), func(_ int, g span) bool {
+	stealRun(ctx, 0, n, workers, stealGrain(n, workers), func(_ int, g span) bool {
 		for i := g.start; i < g.end; i++ {
 			select {
 			case <-done:

@@ -272,9 +272,9 @@ type ExploreCandidateJSON struct {
 // requestWorkers resolves the workers= query knob against the server's
 // per-request cap: absent or oversized requests get the cap, explicit
 // smaller requests are honored, and garbage is a 400. Every
-// engine-driven endpoint (/explore, /grid.svg, /sweep.svg) runs its
-// pool at the resolved size and echoes it in the X-Explore-Workers
-// header.
+// engine-driven endpoint (/explore, /grid.svg, /sweep.svg) caps its
+// pool at the resolved size and echoes that cap in the
+// X-Explore-Workers header.
 func (s *Server) requestWorkers(q url.Values) (int, error) {
 	ws := q.Get("workers")
 	if ws == "" {
@@ -299,8 +299,10 @@ const (
 )
 
 // handleExplore serves the design-space exploration as NDJSON. Without
-// a selection pass the candidates stream as the parallel engine
-// produces them: the first line is written and flushed at once — it
+// a selection pass the candidates stream as the engine produces them —
+// inline on the request goroutine, or from the work-stealing pool once
+// the measured cost per candidate pays for the handoff (see
+// dse.Explorer): the first line is written and flushed at once — it
 // arrives long before a large sweep finishes — and later lines go out
 // in batches, whenever 32 KiB (flushBytes) are pending or 10 ms
 // (flushEvery) have passed since the last flush, checked as each
@@ -310,8 +312,9 @@ const (
 // time; a timeout ends the stream with an {"error":…} line after the
 // pending ones. The request waits in the server's admission queue for
 // a slot (429 only when the queue itself is full or the client is over
-// quota) and its worker pool is clamped to the per-request cap; the
-// effective pool size is echoed in the X-Explore-Workers header. While
+// quota) and its worker pool is clamped to the per-request cap; that
+// cap is echoed in the X-Explore-Workers header, whether or not the
+// exploration escalated to the pool. While
 // the queue is past its high-water mark an unbounded exploration is
 // downgraded to a capped top-K response, flagged via
 // X-Explore-Degraded.

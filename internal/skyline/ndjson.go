@@ -110,20 +110,33 @@ func appendJSONFloat(dst []byte, v float64) []byte {
 
 const hexDigits = "0123456789abcdef"
 
+// htmlSafe[b] reports whether byte b is written as itself inside a
+// JSON string under encoding/json's default (HTML-safe) escaping: every
+// printable ASCII byte except quote, backslash, < > and &. Bytes from
+// utf8.RuneSelf up are false and take the rune path.
+var htmlSafe = func() (safe [256]bool) {
+	for b := 0x20; b < utf8.RuneSelf; b++ {
+		safe[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+	}
+	return safe
+}()
+
 // appendJSONString appends s as a JSON string with encoding/json's
 // default (HTML-safe) escaping: quote, backslash and the short control
 // escapes as \" \\ \b \f \n \r \t; other control bytes and < > & as
 // \u00XX; U+2028 and U+2029 as \u2028 and \u2029; and each byte of
-// invalid UTF-8 as \ufffd.
+// invalid UTF-8 as \ufffd. Runs of safe bytes are copied with one
+// append.
 func appendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
+		b := s[i]
+		if htmlSafe[b] {
+			i++
+			continue
+		}
+		if b < utf8.RuneSelf {
 			dst = append(dst, s[start:i]...)
 			switch b {
 			case '"', '\\':

@@ -32,9 +32,12 @@
 //	                      columns accepted there too). Without
 //	                      top/pareto, candidates stream incrementally in
 //	                      canonical order and a dropped connection
-//	                      cancels the exploration's workers. workers=N
-//	                      sizes the request's worker pool, clamped to the
-//	                      server's per-request cap; the effective size is
+//	                      cancels the exploration. workers=N caps the
+//	                      request's worker pool, clamped to the server's
+//	                      per-request cap; an exploration starts inline
+//	                      and uses the pool only when its measured cost
+//	                      per candidate pays for the handoff. The
+//	                      effective cap (not the pool actually used) is
 //	                      echoed in the X-Explore-Workers header.
 //	/grid.svg        GET  two-knob GridSweep heatmap. Axes: x=, y= (one
 //	                      of payload|range|sensor|compute), bounds
@@ -118,7 +121,7 @@
 // Each request's worker pool is clamped to
 // Options.MaxWorkersPerRequest so one client cannot monopolize the
 // cores: the engine-driven endpoints accept the workers= knob and echo
-// the effective pool size in X-Explore-Workers. Single analyses and
+// the effective cap in X-Explore-Workers. Single analyses and
 // objective-scored explorations are memoized in the process-wide
 // core.SharedCache (sharded, segmented-LRU eviction) unless Options
 // supplies a dedicated cache; plain explorations recompute.
