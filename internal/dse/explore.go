@@ -337,9 +337,8 @@ func (p *plan) candidateInto(ctx context.Context, i int, cand *Candidate, arena 
 	if p.obj != nil {
 		return p.candidateScoredInto(ctx, cl, sc, uav, comp, mp, sensorStage, controlStage, cand, arena)
 	}
-	// The caller's slot may have carried a scored candidate (the inline
-	// grain buffer is reused); a plain exploration must not leak stale
-	// metrics.
+	// A reused slot may hold an earlier candidate's metrics; a plain
+	// candidate has none.
 	cand.Metrics = nil
 	if err = core.AnalyzeWithPartialInto(mp, cl.name, sensorStage, cl.stage, controlStage, arena, &cand.Analysis); err != nil {
 		return false, fmt.Errorf("dse: analyzing %s/%s/%s: %w", uav.Name, comp.Name, cl.algo, err)
@@ -604,8 +603,8 @@ func (e Explorer) Enumerate() ([]Candidate, error) {
 }
 
 // Enumerate analyzes every combination in the space using the engine
-// with default settings. Unknown axis values — including
-// algorithm names the catalog has never registered — are errors;
+// with default settings. Unknown axis values — including algorithm
+// names the catalog has never registered — are errors;
 // combinations with no performance-table entry (a registered algorithm
 // never measured on a platform) are skipped silently, as they are not
 // buildable systems. Other analysis errors abort the exploration.

@@ -294,8 +294,8 @@ func TestSplitCancelLeavesNoGoroutines(t *testing.T) {
 
 // TestInlineFaultAndPanicSurface: an armed chunk fault, an armed
 // chunk panic and a panicking evaluator on the inline prefix become the
-// run's error — the fault site fires once per inline grain, as on the
-// pool — instead of unwinding the caller's goroutine.
+// run's error — inline grains go through processChunk, which fires the
+// fault site — instead of unwinding the caller's goroutine.
 func TestInlineFaultAndPanicSurface(t *testing.T) {
 	cat := catalog.Synthetic(2, 4, 4)
 	plain := Explorer{Catalog: cat, Space: synthSpace(cat), ChunkSize: 5, Cache: core.CacheOff()}
@@ -307,31 +307,28 @@ func TestInlineFaultAndPanicSurface(t *testing.T) {
 		fault *faultinject.Fault
 		want  string
 	}{
-		{"fault", plain, &faultinject.Fault{Err: errors.New("injected"), Times: 1}, "dse: chunk [0,5): "},
-		{"fault-later-grain", plain, &faultinject.Fault{Err: errors.New("injected")}, "dse: chunk [0,5): "},
+		{"fault", plain, &faultinject.Fault{Err: errors.New("injected"), Times: 1}, "dse: chunk [0,5): injected"},
 		{"fault-panic", plain, &faultinject.Fault{Panic: true, Times: 1}, "dse: panic analyzing candidates [0,5): "},
 		{"evaluator-panic", scored, nil, "dse: panic analyzing candidates [0,5): evaluator exploded"},
 	} {
+		arm := func() (disarm func()) {
+			if tc.fault == nil {
+				return func() {}
+			}
+			return faultinject.Enable(faultinject.SiteDSEChunk, *tc.fault)
+		}
 		for _, workers := range []int{1, 4} {
 			e := tc.e
 			e.Workers = workers
-			run := func() (streamErr, collectErr error) {
-				var disarm func()
-				if tc.fault != nil {
-					disarm = faultinject.Enable(faultinject.SiteDSEChunk, *tc.fault)
-				}
-				for _, err := range e.Candidates(context.Background()) {
-					streamErr = err
-				}
-				if disarm != nil {
-					disarm()
-					disarm = faultinject.Enable(faultinject.SiteDSEChunk, *tc.fault)
-					defer disarm()
-				}
-				_, collectErr = e.ExploreContext(context.Background())
-				return streamErr, collectErr
+			disarm := arm()
+			var streamErr error
+			for _, err := range e.Candidates(context.Background()) {
+				streamErr = err
 			}
-			streamErr, collectErr := run()
+			disarm()
+			disarm = arm()
+			_, collectErr := e.ExploreContext(context.Background())
+			disarm()
 			for what, err := range map[string]error{"Candidates": streamErr, "ExploreContext": collectErr} {
 				if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
 					t.Fatalf("%s workers=%d: %s error = %v, want prefix %q", tc.name, workers, what, err, tc.want)
