@@ -24,11 +24,13 @@
 // per payload triple and stages per rate, so its per-candidate cost is
 // the combine alone.
 //
-// Cache (memo.go) memoizes analyses process-wide with sharding,
-// segmented-LRU eviction and context-aware singleflight miss
-// coalescing; AnalyzeScoredContextFunc lets a factored caller (the
-// exploration engine's objective path) fill misses via the partial
-// combine plus its evaluator instead of the full Analyze.
+// Cache (memo.go) memoizes analyses process-wide in sharded maps with
+// context-aware singleflight miss coalescing. A full shard evicts one
+// arbitrary entry: no served workload fills the cache to its bound, so
+// the bound only caps memory and needs no recency order.
+// AnalyzeScoredContextFunc lets a factored caller (the exploration
+// engine's objective path) fill misses via the partial combine plus its
+// evaluator instead of the full Analyze.
 //
 // The combine's allocation discipline (//reprolint:hotpath on
 // AnalyzeWithPartial[Into]) and the package's context-flow contract

@@ -17,21 +17,20 @@ import (
 // analyses of the same resolved configuration — a Skyline server
 // replaying popular requests, or an Explorer re-scoring a design space
 // under one objective — pay the model cost once. The plain
-// Analyze/AnalyzeContext entry points key on the zero objective; the
-// *Scored variants carry an objective's metric columns through the same
-// entry, so a configuration scored under two different objectives (or
-// two Monte-Carlo seeds) occupies two independent entries and results
-// stay byte-deterministic.
+// AnalyzeContext entry point keys on the zero objective; the *Scored
+// variants carry an objective's metric columns through the same entry,
+// so a configuration scored under two different objectives (or two
+// Monte-Carlo seeds) occupies two independent entries and results stay
+// byte-deterministic.
 //
 // The cache is sharded: the Config hashes to one of a power-of-two
-// number of independently locked segments, so concurrent exploration
+// number of independently locked maps, so concurrent exploration
 // sweeps spread their lookups instead of contending on a single lock.
-// Each shard is bounded and evicts with a segmented LRU: new entries
-// enter a probationary list and only a second hit promotes them to the
-// protected list, so a one-pass cold scan (a huge /explore sweep)
-// churns through probation without displacing the hot working set —
-// unlike the previous generation-clearing cache, which dropped every
-// entry at once when full. Misses fill with singleflight: concurrent
+// Each shard is bounded: inserting into a full shard evicts one
+// arbitrary resident entry. There is no recency order to maintain
+// because no served workload fills the cache to its bound; the bound
+// only caps memory, and an evicted entry is recomputed to the same
+// bytes on its next miss. Misses fill with singleflight: concurrent
 // misses of one configuration coalesce onto a single in-flight
 // analysis (a per-shard wait registry), so a thundering herd of
 // identical requests computes once and shares the result; with
@@ -77,25 +76,20 @@ type ScoreKey struct {
 	Seed int64
 }
 
-// shard is one independently locked cache segment: a map for lookup,
-// two intrusive LRU lists (probation and protected) for the segmented
-// eviction order, and a singleflight registry of analyses currently in
-// flight so concurrent misses of one configuration coalesce.
+// shard is one independently locked cache segment: a bounded map of
+// memoized analyses, and a singleflight registry of analyses currently
+// in flight so concurrent misses of one configuration coalesce.
 type shard struct {
-	mu        sync.Mutex
-	entries   map[ScoreKey]*entry
-	inflight  map[ScoreKey]*flight
-	probation lruList
-	protected lruList
-	// capacity bounds len(entries); protectedCap bounds the protected
-	// list (the remainder is probation churn room).
-	capacity     int
-	protectedCap int
-	hits         uint64
-	misses       uint64
-	coalesced    uint64
-	evictions    uint64
-	fills        uint64
+	mu       sync.Mutex
+	entries  map[ScoreKey]entry
+	inflight map[ScoreKey]*flight
+	// capacity bounds len(entries).
+	capacity  int
+	hits      uint64
+	misses    uint64
+	coalesced uint64
+	evictions uint64
+	fills     uint64
 }
 
 // flight is one in-progress analysis. The first miss of a ScoreKey (the
@@ -112,20 +106,12 @@ type flight struct {
 	err     error
 }
 
-// entry is one memoized analysis, linked into exactly one of its
-// shard's two LRU lists. metrics is the objective's column values (nil
-// for the plain analysis); like the Analysis it is shared between
-// callers and must be treated as read-only.
+// entry is one memoized analysis. metrics is the objective's column
+// values (nil for the plain analysis); like the Analysis it is shared
+// between callers and must be treated as read-only.
 type entry struct {
-	key        ScoreKey
-	an         Analysis
-	metrics    []float64
-	prev, next *entry
-	protected  bool
-	// ref is the protected segment's second-chance bit: set on every
-	// protected hit (one store — far cheaper than exact LRU surgery on
-	// the hot path), consumed by the eviction rotation.
-	ref bool
+	an      Analysis
+	metrics []float64
 }
 
 // shardFor routes a key to its segment. The route mixes only the cheap
@@ -145,48 +131,6 @@ func (c *Cache) shardFor(k ScoreKey) *shard {
 	h += math.Float64bits(float64(cfg.SensorRange))
 	h = (h + uint64(len(k.Objective)) + uint64(k.Seed)) * mix
 	return &c.shards[(h>>32)&c.mask]
-}
-
-// lruList is an intrusive doubly-linked list ordered most- to
-// least-recently used. Intrusive (links live in the entry) so hits and
-// evictions allocate nothing.
-type lruList struct {
-	front, back *entry
-	n           int
-}
-
-func (l *lruList) pushFront(e *entry) {
-	e.prev, e.next = nil, l.front
-	if l.front != nil {
-		l.front.prev = e
-	} else {
-		l.back = e
-	}
-	l.front = e
-	l.n++
-}
-
-func (l *lruList) remove(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		l.front = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		l.back = e.prev
-	}
-	e.prev, e.next = nil, nil
-	l.n--
-}
-
-func (l *lruList) moveToFront(e *entry) {
-	if l.front == e {
-		return
-	}
-	l.remove(e)
-	l.pushFront(e)
 }
 
 // DefaultCacheLimit bounds a NewCache-constructed cache's entry count.
@@ -227,17 +171,13 @@ func NewCacheLimit(limit int) *Cache {
 		if i < rem {
 			sh.capacity++
 		}
-		// 80/20 protected/probation split — the classic SLRU ratio:
-		// most of the shard holds the proven working set, the rest is
-		// churn room for one-hit wonders.
-		sh.protectedCap = sh.capacity * 4 / 5
-		sh.entries = make(map[ScoreKey]*entry)
+		sh.entries = make(map[ScoreKey]entry)
 		sh.inflight = make(map[ScoreKey]*flight)
 	}
 	return c
 }
 
-// CacheOff returns the canonical pass-through cache: Analyze always
+// CacheOff returns the canonical pass-through cache: every lookup
 // recomputes and nothing is retained. Use it where a *Cache is
 // expected but memoization must be off (e.g. a benchmark isolating the
 // computation, or a dse.Explorer that must not touch SharedCache).
@@ -278,28 +218,19 @@ func SetSharedCacheLimit(limit int) *Cache {
 // production code never reassigns it.
 var analyzeFn = Analyze
 
-// Analyze returns the memoized analysis for cfg, computing and caching
-// it on a miss. Concurrent misses of the same configuration coalesce:
-// the first caller analyzes while the rest wait for its result
-// (singleflight), so a thundering herd of identical requests pays the
-// model cost exactly once — the coalesced waits are counted in Stats.
-// Errors are never cached (they are cheap to recompute and usually
-// indicate a caller bug). Safe for concurrent use.
+// AnalyzeContext returns the memoized analysis for cfg, computing and
+// caching it on a miss. Concurrent misses of the same configuration
+// coalesce: the first caller analyzes while the rest wait for its
+// result (singleflight), so a thundering herd of identical requests
+// pays the model cost exactly once — the coalesced waits are counted in
+// Stats. Errors are never cached (they are cheap to recompute and
+// usually indicate a caller bug). Safe for concurrent use.
 //
-// Analyze is AnalyzeContext with context.Background(): the coalesced
-// wait cannot be abandoned.
-//
-//reprolint:ctxshim documented no-context convenience wrapper; request paths use AnalyzeContext
-func (c *Cache) Analyze(cfg Config) (Analysis, error) {
-	an, _, err := c.analyze(context.Background(), ScoreKey{Cfg: cfg}, nil)
-	return an, err
-}
-
-// AnalyzeContext is Analyze with a context governing the singleflight
-// wait: a follower coalesced onto another caller's in-flight analysis
-// of the same configuration selects on its own ctx and abandons the
-// wait with ctx.Err() when cancelled first. The leader is unaffected —
-// it completes its analysis and fills the cache for future callers.
+// ctx governs only the singleflight wait: a follower coalesced onto
+// another caller's in-flight analysis of the same configuration selects
+// on its own ctx and abandons the wait with ctx.Err() when cancelled
+// first. The leader is unaffected — it completes its analysis and fills
+// the cache for future callers.
 // (The leader's own computation is not interrupted by its ctx: analyses
 // are pure CPU with no cancellation points, and an abandoned fill would
 // strand the coalesced followers.)
@@ -321,10 +252,10 @@ func (c *Cache) AnalyzeScoredContextFunc(ctx context.Context, key ScoreKey, fill
 }
 
 // LookupScored peeks for a memoized scored analysis: on a hit it counts
-// the hit, refreshes key's eviction standing and returns the analysis
-// together with the objective's cached metric columns (nil for the zero
-// objective; the slice is shared — read-only). On an absence it returns
-// false without counting a miss — the expected follow-up,
+// the hit and returns the analysis together with the objective's cached
+// metric columns (nil for the zero objective; the slice is shared —
+// read-only). On an absence it returns false without counting a miss —
+// the expected follow-up,
 // AnalyzeScoredContextFunc, records the miss when it fills. It exists so
 // hot loops can keep their miss-fill closure off the hit path.
 func (c *Cache) LookupScored(key ScoreKey) (Analysis, []float64, bool) {
@@ -334,14 +265,11 @@ func (c *Cache) LookupScored(key ScoreKey) (Analysis, []float64, bool) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	e, ok := sh.entries[key]
-	if !ok {
-		sh.mu.Unlock()
-		return Analysis{}, nil, false
+	if ok {
+		sh.hits++
 	}
-	sh.touch(e)
-	an, metrics := e.an, e.metrics
 	sh.mu.Unlock()
-	return an, metrics, true
+	return e.an, e.metrics, ok
 }
 
 // analyze is the shared implementation behind the Analyze* variants.
@@ -358,10 +286,9 @@ func (c *Cache) analyze(ctx context.Context, key ScoreKey, fill func() (Analysis
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	if e, ok := sh.entries[key]; ok {
-		sh.touch(e)
-		an, metrics := e.an, e.metrics
+		sh.hits++
 		sh.mu.Unlock()
-		return an, metrics, nil
+		return e.an, e.metrics, nil
 	}
 	sh.misses++
 	if f, ok := sh.inflight[key]; ok {
@@ -388,7 +315,7 @@ func (c *Cache) analyze(ctx context.Context, key ScoreKey, fill func() (Analysis
 
 	// The cleanup is deferred so that a panicking analyzeFn (bad model
 	// data) cannot strand the flight: the registry entry would otherwise
-	// outlive the leader and every future Analyze of this key would
+	// outlive the leader and every future miss of this key would
 	// coalesce onto a flight that never completes.
 	executed := false
 	defer func() {
@@ -401,12 +328,7 @@ func (c *Cache) analyze(ctx context.Context, key ScoreKey, fill func() (Analysis
 			sh.fills++
 		}
 		if f.err == nil {
-			// A leader for this key is unique, but an entry may still
-			// exist if the key was evicted and re-inserted around an
-			// earlier flight; keep the incumbent's LRU position.
-			if _, ok := sh.entries[key]; !ok {
-				sh.insert(key, f.an, f.metrics)
-			}
+			sh.insert(key, entry{an: f.an, metrics: f.metrics})
 		}
 		sh.mu.Unlock()
 		// Publish to followers only after f.an/f.err are set. The flight
@@ -438,74 +360,19 @@ func (c *Cache) analyze(ctx context.Context, key ScoreKey, fill func() (Analysis
 // becomes a fresh leader.
 var errFlightAbandoned = errors.New("f1: cache: in-flight analysis abandoned")
 
-// touch records a hit and advances e in the segmented order: a
-// probationary entry's second access promotes it to protected (demoting
-// the oldest protected entry back to probation when that segment is
-// full). A hit on an already-protected entry — the hot steady state —
-// only sets the second-chance bit; the eviction rotation restores
-// recency order lazily, so the common path stays one store instead of
-// six pointer writes. Callers hold the shard lock.
-func (sh *shard) touch(e *entry) {
-	sh.hits++
-	switch {
-	case e.protected:
-		if !e.ref {
-			e.ref = true
-		}
-	case sh.protectedCap == 0:
-		// Shard too small for two segments: plain LRU in probation.
-		sh.probation.moveToFront(e)
-	default:
-		sh.probation.remove(e)
-		e.protected = true
-		e.ref = false
-		sh.protected.pushFront(e)
-		if sh.protected.n > sh.protectedCap {
-			demoted := sh.oldestProtected()
-			sh.protected.remove(demoted)
-			demoted.protected = false
-			demoted.ref = false
-			sh.probation.pushFront(demoted)
-		}
-	}
-}
-
-// oldestProtected returns the protected entry to demote or evict,
-// giving recently hit entries a second chance: the rotation clears ref
-// bits and re-files their holders to the front, converging on the
-// least-recently-hit entry (bounded by one full lap).
-func (sh *shard) oldestProtected() *entry {
-	for i := sh.protected.n; i > 1; i-- {
-		back := sh.protected.back
-		if !back.ref {
-			return back
-		}
-		back.ref = false
-		sh.protected.moveToFront(back)
-	}
-	return sh.protected.back
-}
-
-// insert adds a new probationary entry, evicting one victim first when
-// the shard is full. Callers hold the shard lock.
-func (sh *shard) insert(key ScoreKey, an Analysis, metrics []float64) {
-	if sh.capacity == 0 {
-		return
-	}
+// insert memoizes e under key, first evicting one arbitrary resident
+// entry when the shard is full. key is never resident here: only its
+// singleflight leader inserts it, and a resident key is a hit, not a
+// leader. Callers hold the shard lock.
+func (sh *shard) insert(key ScoreKey, e entry) {
 	if len(sh.entries) >= sh.capacity {
-		victim := sh.probation.back
-		if victim != nil {
-			sh.probation.remove(victim)
-		} else {
-			victim = sh.oldestProtected()
-			sh.protected.remove(victim)
+		for k := range sh.entries {
+			delete(sh.entries, k)
+			break
 		}
-		delete(sh.entries, victim.key)
 		sh.evictions++
 	}
-	e := &entry{key: key, an: an, metrics: metrics}
 	sh.entries[key] = e
-	sh.probation.pushFront(e)
 }
 
 // Memoizes reports whether this cache retains anything at all: false
@@ -583,7 +450,7 @@ func (c *Cache) Stats() CacheStats {
 }
 
 // contains reports whether cfg is currently memoized, without touching
-// the LRU order or the counters (a test / diagnostics probe).
+// the counters (a test / diagnostics probe).
 func (c *Cache) contains(cfg Config) bool {
 	if c == nil || len(c.shards) == 0 || !memoizable(cfg) {
 		return false

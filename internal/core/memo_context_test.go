@@ -32,7 +32,7 @@ func TestCacheAnalyzeContextCancelledFollower(t *testing.T) {
 
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, err := c.Analyze(cfg) // uncancellable leader
+		_, err := c.AnalyzeContext(context.Background(), cfg) // uncancellable leader
 		leaderDone <- err
 	}()
 	<-entered // the leader is in flight and registered
@@ -154,7 +154,7 @@ func TestCacheAnalyzeScoredContextFunc(t *testing.T) {
 			t.Fatal("hit diverges from the filled entry")
 		}
 		// Another seed is another entry; the zero objective is the entry
-		// plain Analyze shares.
+		// plain AnalyzeContext shares.
 		if _, _, err := c.AnalyzeScoredContextFunc(ctx, ScoreKey{Cfg: cfg, Objective: key.Objective, Seed: 8}, fill); err != nil {
 			t.Fatal(err)
 		}
@@ -164,11 +164,11 @@ func TestCacheAnalyzeScoredContextFunc(t *testing.T) {
 		if fills.Load() != 3 {
 			t.Fatalf("fill ran %d times over three keys, want 3", fills.Load())
 		}
-		if _, err := c.Analyze(cfg); err != nil {
+		if _, err := c.AnalyzeContext(ctx, cfg); err != nil {
 			t.Fatal(err)
 		}
 		if st := c.Stats(); st.Fills != 3 || st.Hits != 2 {
-			t.Fatalf("plain Analyze did not hit the zero-objective entry: %+v", st)
+			t.Fatalf("plain AnalyzeContext did not hit the zero-objective entry: %+v", st)
 		}
 	})
 	t.Run("errors_not_cached", func(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -34,14 +35,14 @@ func TestCacheHitReturnsIdenticalAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := c.Analyze(cfg)
+	first, err := c.AnalyzeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 1 {
 		t.Fatalf("cache has %d entries, want 1", c.Len())
 	}
-	second, err := c.Analyze(cfg)
+	second, err := c.AnalyzeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestCacheHitReturnsIdenticalAnalysis(t *testing.T) {
 func TestCacheDistinctConfigs(t *testing.T) {
 	c := NewCache()
 	for i := 0; i < 10; i++ {
-		if _, err := c.Analyze(memoTestConfig("memo", float64(100+i))); err != nil {
+		if _, err := c.AnalyzeContext(context.Background(), memoTestConfig("memo", float64(100+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,7 +68,7 @@ func TestCacheDistinctConfigs(t *testing.T) {
 
 func TestNilCacheFallsThrough(t *testing.T) {
 	var c *Cache
-	an, err := c.Analyze(memoTestConfig("nil-cache", 300))
+	an, err := c.AnalyzeContext(context.Background(), memoTestConfig("nil-cache", 300))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	c := NewCache()
 	bad := memoTestConfig("bad", 300)
 	bad.SensorRange = 0
-	if _, err := c.Analyze(bad); err == nil {
+	if _, err := c.AnalyzeContext(context.Background(), bad); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 	if c.Len() != 0 {
@@ -104,7 +105,7 @@ func TestCacheNonComparableModelFallsThrough(t *testing.T) {
 	c := NewCache()
 	cfg := memoTestConfig("non-comparable", 300)
 	cfg.AccelModel = sliceAccel{pad: []float64{1}}
-	an, err := c.Analyze(cfg)
+	an, err := c.AnalyzeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestCacheNonComparableModelFallsThrough(t *testing.T) {
 func TestCacheLimitEvictsIncrementally(t *testing.T) {
 	c := NewCacheLimit(4)
 	for i := 0; i < 10; i++ {
-		if _, err := c.Analyze(memoTestConfig("memo", float64(100+i))); err != nil {
+		if _, err := c.AnalyzeContext(context.Background(), memoTestConfig("memo", float64(100+i))); err != nil {
 			t.Fatal(err)
 		}
 		if c.Len() > 4 {
@@ -148,7 +149,7 @@ func TestCacheMatchesDirectAnalyze(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := c.Analyze(cfg)
+			got, err := c.AnalyzeContext(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +165,7 @@ func TestCacheStatsCounters(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		cfg := memoTestConfig("stats", float64(100+i))
 		for j := 0; j < 2; j++ {
-			if _, err := c.Analyze(cfg); err != nil {
+			if _, err := c.AnalyzeContext(context.Background(), cfg); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -197,41 +198,10 @@ func TestCacheStatsCounters(t *testing.T) {
 	}
 }
 
-func TestCacheHotEntriesSurviveColdScan(t *testing.T) {
-	// Segmented LRU's whole point: a one-pass cold scan (a huge explore
-	// sweep) must not displace the proven working set. Hot entries are
-	// promoted by their second hit; the scan then churns probation only.
-	c := NewCacheLimit(8)
-	hot := []Config{memoTestConfig("hot", 300), memoTestConfig("hot", 301)}
-	for _, cfg := range hot {
-		for j := 0; j < 2; j++ { // second access promotes to protected
-			if _, err := c.Analyze(cfg); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for i := 0; i < 100; i++ {
-		if _, err := c.Analyze(memoTestConfig("cold", float64(1000+i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, cfg := range hot {
-		if !c.contains(cfg) {
-			t.Errorf("hot entry %d evicted by the cold scan", i)
-		}
-	}
-	if c.Len() > 8 {
-		t.Fatalf("cache exceeded its limit: %d", c.Len())
-	}
-	if st := c.Stats(); st.Evictions == 0 {
-		t.Fatal("cold scan caused no evictions")
-	}
-}
-
 func TestCacheOffPassesThrough(t *testing.T) {
 	c := CacheOff()
 	cfg := memoTestConfig("off", 300)
-	an, err := c.Analyze(cfg)
+	an, err := c.AnalyzeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,8 +238,7 @@ func TestSharedCacheProcessWide(t *testing.T) {
 // goroutines (run under -race): a shared hot set is touched every
 // iteration while unique cold configs force continuous eviction. The
 // size bound, counter monotonicity and counter bookkeeping must all
-// hold throughout, and a post-churn re-warm of the hot set must survive
-// a fresh cold scan.
+// hold throughout.
 func TestCacheConcurrentEvictionChurn(t *testing.T) {
 	const (
 		limit      = 32
@@ -315,14 +284,14 @@ func TestCacheConcurrentEvictionChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				for _, cfg := range hot {
-					if _, err := c.Analyze(cfg); err != nil {
+					if _, err := c.AnalyzeContext(context.Background(), cfg); err != nil {
 						t.Error(err)
 						return
 					}
 					lookups.Add(1)
 				}
 				cold := memoTestConfig("cold", float64(10000+w*iters+i))
-				if _, err := c.Analyze(cold); err != nil {
+				if _, err := c.AnalyzeContext(context.Background(), cold); err != nil {
 					t.Error(err)
 					return
 				}
@@ -349,26 +318,6 @@ func TestCacheConcurrentEvictionChurn(t *testing.T) {
 		t.Fatalf("evictions (%d) exceed misses (%d)", st.Evictions, st.Misses)
 	}
 
-	// Deterministic epilogue: re-warm the hot set (promoting each entry
-	// to its shard's protected segment), then stream fresh cold configs.
-	// The hot entries must survive — eviction prefers probation.
-	for _, cfg := range hot {
-		for j := 0; j < 2; j++ {
-			if _, err := c.Analyze(cfg); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for i := 0; i < 100; i++ {
-		if _, err := c.Analyze(memoTestConfig("cold2", float64(50000+i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, cfg := range hot {
-		if !c.contains(cfg) {
-			t.Errorf("hot entry %d evicted by post-churn cold scan", i)
-		}
-	}
 }
 
 func TestCacheConcurrent(t *testing.T) {
@@ -380,7 +329,7 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				cfg := memoTestConfig("memo", float64(100+i%20))
-				an, err := c.Analyze(cfg)
+				an, err := c.AnalyzeContext(context.Background(), cfg)
 				if err != nil {
 					t.Error(err)
 					return
@@ -427,7 +376,7 @@ func TestCacheSingleflightExactlyOnce(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			cfg := memoTestConfig("herd", float64(100+g%distinct))
-			an, err := c.Analyze(cfg)
+			an, err := c.AnalyzeContext(context.Background(), cfg)
 			if err != nil {
 				t.Error(err)
 				return
@@ -482,7 +431,7 @@ func TestCacheSingleflightSharesErrors(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.Analyze(bad); err == nil {
+			if _, err := c.AnalyzeContext(context.Background(), bad); err == nil {
 				t.Error("invalid config analyzed without error")
 			}
 		}()
@@ -516,7 +465,7 @@ func TestCacheSingleflightLeaderPanic(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			defer func() { panics[g] = recover() }()
-			_, errs[g] = c.Analyze(cfg)
+			_, errs[g] = c.AnalyzeContext(context.Background(), cfg)
 		}(g)
 	}
 	for deadline := time.Now().Add(10 * time.Second); c.Stats().Misses < 4; {
@@ -545,7 +494,7 @@ func TestCacheSingleflightLeaderPanic(t *testing.T) {
 	}
 
 	// The registry entry is gone: the same config analyzes cleanly now.
-	an, err := c.Analyze(cfg)
+	an, err := c.AnalyzeContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("config permanently wedged after leader panic: %v", err)
 	}

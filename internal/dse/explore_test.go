@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -207,6 +208,65 @@ func TestExplorerSharedCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireEqualCandidates(t, plain, second)
+}
+
+// TestEvictingCacheMatchesCacheOff: a scored exploration through a
+// cache far smaller than its space — so later passes mix hits with
+// recomputes of evicted entries — produces the CacheOff slate, serially
+// and across a forced inline/pool split. Passes alternate between the
+// space and its reverse, so each serial pass opens on the entry the
+// previous pass inserted last: a guaranteed hit.
+func TestEvictingCacheMatchesCacheOff(t *testing.T) {
+	cat := catalog.Synthetic(2, 4, 8)
+	fwd := synthSpace(cat)
+	rev := Space{UAVs: slices.Clone(fwd.UAVs), Computes: slices.Clone(fwd.Computes), Algorithms: slices.Clone(fwd.Algorithms)}
+	slices.Reverse(rev.UAVs)
+	slices.Reverse(rev.Computes)
+	slices.Reverse(rev.Algorithms)
+	for _, obj := range []struct {
+		name string
+		seed int64
+	}{{"mission.thermal", 0}, {"mission.stochastic", 7}} {
+		ev, err := NewObjective(obj.name, cat, obj.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spaces := []Space{fwd, rev}
+		var want [2][]Candidate
+		for i, sp := range spaces {
+			want[i], err = Explorer{Catalog: cat, Space: sp, Workers: 1, Cache: core.CacheOff(), Objective: ev}.Enumerate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want[i]) < 64 {
+				t.Fatalf("%s: %d candidates, want >= 64", obj.name, len(want[i]))
+			}
+		}
+		for _, workers := range []int{1, 4} {
+			if workers > 1 {
+				escalateAt(t, func(lo int) bool { return lo == 32 })
+			}
+			cache := core.NewCacheLimit(8)
+			poolBefore := poolGrains.Load()
+			for pass, i := range []int{0, 1, 0} {
+				got, err := Explorer{Catalog: cat, Space: spaces[i], Workers: workers, ChunkSize: 8, Cache: cache, Objective: ev}.Enumerate()
+				if err != nil {
+					t.Fatalf("%s workers=%d pass %d: %v", obj.name, workers, pass, err)
+				}
+				requireEqualCandidates(t, want[i], got)
+			}
+			st := cache.Stats()
+			if st.Evictions == 0 {
+				t.Fatalf("%s workers=%d: no evictions (%+v)", obj.name, workers, st)
+			}
+			if workers == 1 && st.Hits == 0 {
+				t.Fatalf("%s: no hits across passes (%+v)", obj.name, st)
+			}
+			if workers > 1 && poolGrains.Load() == poolBefore {
+				t.Fatalf("%s: the split never reached the work-stealing pool", obj.name)
+			}
+		}
+	}
 }
 
 // TestPlainExplorationSkipsCache pins the memoization policy: a plain

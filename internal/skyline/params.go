@@ -123,8 +123,9 @@
 // cores: the engine-driven endpoints accept the workers= knob and echo
 // the effective cap in X-Explore-Workers. Single analyses and
 // objective-scored explorations are memoized in the process-wide
-// core.SharedCache (sharded, segmented-LRU eviction) unless Options
-// supplies a dedicated cache; plain explorations recompute.
+// core.SharedCache (sharded maps; a full shard evicts an arbitrary
+// entry, since no served workload fills it) unless Options supplies a
+// dedicated cache; plain explorations recompute.
 //
 // cmd/skyline exposes these as -cache-entries, -max-inflight,
 // -queue-depth, -default-timeout, -client-rps and
