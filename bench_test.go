@@ -285,6 +285,7 @@ func BenchmarkPipelineJitterSim(b *testing.B) {
 		{Stage: pipeline.StageHz("compute", units.Hertz(178)), Jitter: 0.3},
 		{Stage: pipeline.StageHz("control", units.Hertz(1000))},
 	}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := pipeline.SimulateJitter(stages, 2000, 1); err != nil {
 			b.Fatal(err)

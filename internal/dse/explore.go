@@ -431,7 +431,8 @@ func (p *plan) candidateScoredInto(ctx context.Context, cl *cell, sc *sensorChoi
 // the Serial and Parallel Enumerate rows on 2 vCPUs, where the pool adds
 // ~0.9 µs per candidate, so two workers pay from ~1.8 µs. Plain F-1
 // candidates (~0.4 µs), cheap objectives and scored-cache hits stay
-// inline; mission.stochastic (~65 µs) escalates after one grain.
+// inline; mission.stochastic (~40 µs) is far above the threshold and
+// escalates after one grain.
 const escalateAfter = 2 * time.Microsecond
 
 // Test seams: forceEscalate, when set, decides each grain boundary lo in

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -123,4 +124,57 @@ func TestObjectiveCacheKeyedBySeedAndName(t *testing.T) {
 		t.Error("seed 7 and seed 8 produced identical Monte-Carlo metrics — seed missing from cache key?")
 	}
 	requireEqualCandidates(t, a, explore(7))
+}
+
+// TestStochasticGolden pins the exact float64 bits of mission.stochastic
+// metrics (eff_rate_hz, p99_latency_ms, mean_rate_hz) for the top three
+// candidates by effective rate and by p99 latency over
+// Synthetic(2,4,8) at seed 7. Stored artifacts and the objective's
+// meaning rest on the math/rand stream and the nearest-rank
+// percentiles, so any change to either must fail here, not pass CI
+// with silently different numbers.
+func TestStochasticGolden(t *testing.T) {
+	cat := catalog.Synthetic(2, 4, 8)
+	ev, err := NewObjective("mission.stochastic", cat, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, err := Explorer{Catalog: cat, Space: synthSpace(cat), Workers: 1, Cache: core.CacheOff(), Objective: ev}.Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		name string
+		bits [3]uint64
+	}
+	golden := [2][]row{
+		{ // top 3 by eff_rate_hz
+			{"synth-uav-001 + synth-net-007 + synth-soc-003", [3]uint64{0x40384079434a84dd, 0x40544c924df1b23e, 0x403f9bae52c627c5}},
+			{"synth-uav-001 + synth-net-007 + synth-soc-002", [3]uint64{0x40377bfdc9c14538, 0x40552bdbb4141056, 0x403e7020f7a37f9f}},
+			{"synth-uav-001 + synth-net-007 + synth-soc-001", [3]uint64{0x4036bb717892fc8b, 0x405587a9b663e774, 0x403d1132ef3cc89c}},
+		},
+		{ // top 3 by p99_latency_ms (lowest first)
+			{"synth-uav-001 + synth-net-007 + synth-soc-003", [3]uint64{0x40384079434a84dd, 0x40544c924df1b23e, 0x403f9bae52c627c5}},
+			{"synth-uav-000 + synth-net-007 + synth-soc-003", [3]uint64{0x403395035d8f4066, 0x40545e3081dd27ae, 0x403c695871da002d}},
+			{"synth-uav-000 + synth-net-007 + synth-soc-002", [3]uint64{0x40333ce29d816270, 0x4054dac09f3d3f96, 0x403c0030cec6af4d}},
+		},
+	}
+	for col, want := range golden {
+		got := TopK(cands, ColumnObjective(ev.Columns(), col), len(want))
+		if len(got) != len(want) {
+			t.Fatalf("column %d: TopK returned %d candidates, want %d", col, len(got), len(want))
+		}
+		for i, w := range want {
+			if got[i].Name() != w.name {
+				t.Errorf("column %d rank %d: %q, want %q", col, i, got[i].Name(), w.name)
+				continue
+			}
+			for j, b := range w.bits {
+				if g := math.Float64bits(got[i].Metrics[j]); g != b {
+					t.Errorf("column %d rank %d %s[%d]: bits %#x (%v), want %#x (%v)",
+						col, i, w.name, j, g, got[i].Metrics[j], b, math.Float64frombits(b))
+				}
+			}
+		}
+	}
 }

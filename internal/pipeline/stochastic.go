@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"sync"
 
 	"repro/internal/units"
 )
@@ -64,13 +64,58 @@ func SimulateJitterContext(ctx context.Context, stages []JitterStage, n int, see
 			return StochasticResult{}, fmt.Errorf("pipeline: stage %q jitter must be in [0,1), got %v", s.Name, s.Jitter)
 		}
 	}
-	rng := rand.New(rand.NewSource(seed))
+	sc := jitterScratchPool.Get().(*jitterScratch)
+	sc.reserve(len(stages)+1, n-n/10)
+	res, err := sc.simulate(ctx, stages, n, seed)
+	jitterScratchPool.Put(sc)
+	return res, err
+}
+
+// jitterScratch is the working set of one simulation, pooled so a
+// Monte-Carlo evaluator scoring thousands of candidates allocates
+// nothing per call. Every field is overwritten before it is read, so a
+// scratch abandoned mid-run (cancellation) is safe to reuse.
+type jitterScratch struct {
+	// rng is re-seeded per call: (*rand.Rand).Seed on a plain source
+	// yields exactly the stream of rand.New(rand.NewSource(seed)).
+	rng       *rand.Rand
+	prev, cur []float64 // flow-shop completion rows, one slot per stage boundary
+	latencies []float64 // end-to-end latency of each post-warm-up sample
+}
+
+var jitterScratchPool = sync.Pool{New: func() any {
+	return &jitterScratch{rng: rand.New(rand.NewSource(1))}
+}}
+
+// reserve sizes the rows to width slots and the latency buffer to m
+// samples, reusing the pooled backing arrays when they are big enough.
+func (sc *jitterScratch) reserve(width, m int) {
+	if cap(sc.prev) < width {
+		sc.prev = make([]float64, width)
+		sc.cur = make([]float64, width)
+	}
+	sc.prev, sc.cur = sc.prev[:width], sc.cur[:width]
+	if cap(sc.latencies) < m {
+		sc.latencies = make([]float64, m)
+	}
+	sc.latencies = sc.latencies[:m]
+}
+
+// simulate is the per-sample loop over validated stages and n ≥ 20.
+// It folds the first output, the last output and the largest gap as
+// outputs arrive, and selects the two latency percentiles instead of
+// sorting. The float operations and their order are those of the
+// sort-and-append formulation kept as the tests' oracle, so results
+// are bit-identical to it.
+//
+//reprolint:hotpath
+func (sc *jitterScratch) simulate(ctx context.Context, stages []JitterStage, n int, seed int64) (StochasticResult, error) {
+	sc.rng.Seed(seed)
 	ns := len(stages)
-	prev := make([]float64, ns+1)
-	cur := make([]float64, ns+1)
+	prev, cur := sc.prev, sc.cur
+	clear(prev)
 	warm := n / 10
-	var outs []float64
-	var latencies []float64
+	var first, last, worst float64
 	for k := 0; k < n; k++ {
 		if k%64 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -85,7 +130,7 @@ func SimulateJitterContext(ctx context.Context, stages []JitterStage, n int, see
 		entry := cur[0]
 		for i := 0; i < ns; i++ {
 			mean := stages[i].Latency.Seconds()
-			lat := mean * (1 + stages[i].Jitter*(2*rng.Float64()-1))
+			lat := mean * (1 + stages[i].Jitter*(2*sc.rng.Float64()-1))
 			done := cur[i] + lat
 			if i < ns-1 && prev[i+2] > done {
 				done = prev[i+2] // blocked by the next stage
@@ -94,43 +139,73 @@ func SimulateJitterContext(ctx context.Context, stages []JitterStage, n int, see
 		}
 		prev, cur = cur, prev
 		if k >= warm {
-			outs = append(outs, prev[ns])
-			latencies = append(latencies, prev[ns]-entry)
-		}
-	}
-	res := StochasticResult{}
-	if len(outs) >= 2 {
-		span := outs[len(outs)-1] - outs[0]
-		if span > 0 {
-			res.MeanThroughput = units.Hertz(float64(len(outs)-1) / span)
-		}
-		worst := 0.0
-		for i := 1; i < len(outs); i++ {
-			if gap := outs[i] - outs[i-1]; gap > worst {
+			out := prev[ns]
+			if k == warm {
+				first = out
+			} else if gap := out - last; gap > worst {
 				worst = gap
 			}
+			last = out
+			sc.latencies[k-warm] = out - entry
 		}
-		res.WorstInterval = units.Seconds(worst)
 	}
-	sort.Float64s(latencies)
-	res.P50Latency = units.Seconds(percentile(latencies, 0.50))
-	res.P99Latency = units.Seconds(percentile(latencies, 0.99))
+	res := StochasticResult{WorstInterval: units.Seconds(worst)}
+	m := n - warm
+	if span := last - first; span > 0 {
+		res.MeanThroughput = units.Hertz(float64(m-1) / span)
+	}
+	// Selecting p99 leaves every value ranked below it in the prefix,
+	// so p50 is selected within that prefix.
+	i99 := nearestRank(m, 0.99)
+	res.P99Latency = units.Seconds(selectNth(sc.latencies, i99))
+	res.P50Latency = units.Seconds(selectNth(sc.latencies[:i99+1], nearestRank(m, 0.50)))
 	return res, nil
 }
 
-// percentile returns the p-quantile of sorted values (nearest-rank).
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
+// nearestRank is the 0-based index of the nearest-rank p-quantile
+// among n ≥ 1 ordered values.
+func nearestRank(n int, p float64) int {
+	idx := int(math.Ceil(p*float64(n))) - 1
+	return min(max(idx, 0), n-1)
+}
+
+// selectNth reorders a so that a[k] holds the value sort.Float64s
+// would place there (NaNs first), every value before it ordered no
+// higher and every value after no lower, and returns it. It is Hoare's
+// FIND with the middle element as pivot; runs of equal values split
+// evenly, so a jitter-free point mass costs linear time.
+func selectNth(a []float64, k int) float64 {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		pivot := a[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for floatLess(a[i], pivot) {
+				i++
+			}
+			for floatLess(pivot, a[j]) {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		if k <= j {
+			hi = j
+		} else if k >= i {
+			lo = i
+		} else {
+			break
+		}
 	}
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return a[k]
+}
+
+// floatLess is sort.Float64s's order: NaNs before every number.
+func floatLess(x, y float64) bool {
+	return x < y || (math.IsNaN(x) && !math.IsNaN(y))
 }
 
 // EffectiveActionRate is the conservative decision rate a safety
