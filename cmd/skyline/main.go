@@ -15,13 +15,13 @@
 // -cache-entries bounds the process-wide analysis cache.
 //
 // -store-dir enables the crash-safe persistent result store (off when
-// unset): completed /explore and /grid.svg responses are spilled as
-// content-addressed artifacts and repeat requests — including warm
-// restarts of the server — are answered from disk instead of the
-// engine. -store-limit-bytes bounds the artifact bytes (oldest
-// evicted first; 0 = unbounded). Corrupt artifacts are quarantined
-// and recomputed; persistent store I/O failure degrades the server to
-// recompute-only. See docs/PERSISTENCE.md.
+// unset): completed /explore and /grid.svg responses are appended as
+// checksummed records to segment files under the directory, and repeat
+// requests — including warm restarts of the server — are answered from
+// disk instead of the engine. -store-limit-bytes bounds the segment
+// bytes (oldest segments evicted first; 0 = unbounded). Corrupt
+// records are quarantined and recomputed; persistent store I/O failure
+// degrades the server to recompute-only. See docs/PERSISTENCE.md.
 //
 // Admission control: -max-inflight caps the concurrently running
 // exploration requests (0 disables the limit); excess requests wait in

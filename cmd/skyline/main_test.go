@@ -87,7 +87,7 @@ func TestSetupStoreFlags(t *testing.T) {
 		t.Errorf("store limit = %d, want 4096", h.Store.LimitBytes)
 	}
 	// Open created the store layout on disk.
-	for _, sub := range []string{"objects", "tmp", "quarantine"} {
+	for _, sub := range []string{"segments", "quarantine"} {
 		if _, err := os.Stat(filepath.Join(dir, sub)); err != nil {
 			t.Errorf("store layout missing %s/: %v", sub, err)
 		}

@@ -213,6 +213,19 @@ func (c *Catalog) Algorithm(name string) (Algorithm, error) {
 	return a, nil
 }
 
+// HasUAV reports whether a vehicle is registered. Unlike UAV it builds
+// no unknown-name error, so a miss costs a map probe.
+func (c *Catalog) HasUAV(name string) bool { _, ok := c.uavs[name]; return ok }
+
+// HasCompute reports whether a compute platform is registered.
+func (c *Catalog) HasCompute(name string) bool { _, ok := c.computes[name]; return ok }
+
+// HasSensor reports whether a sensor is registered.
+func (c *Catalog) HasSensor(name string) bool { _, ok := c.sensors[name]; return ok }
+
+// HasAlgorithm reports whether an algorithm is registered.
+func (c *Catalog) HasAlgorithm(name string) bool { _, ok := c.algorithms[name]; return ok }
+
 // UAVNames returns the registered vehicle names, sorted.
 func (c *Catalog) UAVNames() []string { return sortedKeys(c.uavs) }
 

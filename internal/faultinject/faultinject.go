@@ -44,10 +44,11 @@ const (
 	// and, when it outlasts the budget, the degrade-to-recompute path.
 	SiteStoreRead = "store.read"
 	// SiteStoreWrite fires before each artifact write attempt (ahead of
-	// the temp file), and SiteStoreRename before the atomic rename that
-	// publishes it — the two halves of the crash-safe write protocol.
-	SiteStoreWrite  = "store.write"
-	SiteStoreRename = "store.rename"
+	// the segment append), and SiteStorePublish after the append's
+	// fsync and before the index insert that publishes it — the two
+	// halves of the crash-safe write protocol.
+	SiteStoreWrite   = "store.write"
+	SiteStorePublish = "store.publish"
 )
 
 // Fault describes one armed failure mode. Fields compose: a Fault may

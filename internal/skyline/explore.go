@@ -116,25 +116,16 @@ func axisValues(q url.Values, key string, fallback []string, known func(string) 
 // against named sensors in one request (an omitted sensor= means
 // default only).
 func ParseExplore(cat *catalog.Catalog, q url.Values) (ExploreRequest, error) {
-	knownUAV := func(s string) bool { _, err := cat.UAV(s); return err == nil }
-	knownCompute := func(s string) bool { _, err := cat.Compute(s); return err == nil }
-	knownAlgo := func(s string) bool { _, err := cat.Algorithm(s); return err == nil }
-	knownSensor := func(s string) bool {
-		if s == "default" {
-			return true
-		}
-		_, err := cat.Sensor(s)
-		return err == nil
-	}
+	knownSensor := func(s string) bool { return s == "default" || cat.HasSensor(s) }
 	var req ExploreRequest
 	var err error
-	if req.Space.UAVs, err = axisValues(q, "uav", cat.UAVNames(), knownUAV); err != nil {
+	if req.Space.UAVs, err = axisValues(q, "uav", cat.UAVNames(), cat.HasUAV); err != nil {
 		return ExploreRequest{}, err
 	}
-	if req.Space.Computes, err = axisValues(q, "compute", cat.ComputeNames(), knownCompute); err != nil {
+	if req.Space.Computes, err = axisValues(q, "compute", cat.ComputeNames(), cat.HasCompute); err != nil {
 		return ExploreRequest{}, err
 	}
-	if req.Space.Algorithms, err = axisValues(q, "algorithm", cat.AlgorithmNames(), knownAlgo); err != nil {
+	if req.Space.Algorithms, err = axisValues(q, "algorithm", cat.AlgorithmNames(), cat.HasAlgorithm); err != nil {
 		return ExploreRequest{}, err
 	}
 	if req.Space.Sensors, err = axisValues(q, "sensor", nil, knownSensor); err != nil {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strings"
 	"testing"
@@ -190,6 +191,34 @@ func TestExploreSpaceSubsets(t *testing.T) {
 		"&algorithm=" + catalog.AlgoDroNet + "&algorithm=" + catalog.AlgoTrailNet
 	got := exploreLines(t, srv.URL+"/explore?"+q)
 	requireSameCandidates(t, want, got)
+}
+
+// TestParseExploreListProbe: a comma-joined axis value is first probed
+// whole as a catalog name, and that probe always misses. It must not
+// build and drop an unknown-name error (which lists every catalog
+// name), so a list-valued request allocates at most twice what a
+// single-valued one does. A name that is really unknown still gets its
+// error.
+func TestParseExploreListProbe(t *testing.T) {
+	cat := catalog.Default()
+	list := url.Values{
+		"uav":       {catalog.UAVDJISpark + "," + catalog.UAVAscTecPelican},
+		"compute":   {catalog.ComputeNCS + "," + catalog.ComputeTX2},
+		"algorithm": {catalog.AlgoDroNet + "," + catalog.AlgoTrailNet},
+	}
+	single := url.Values{"uav": {catalog.UAVDJISpark}, "compute": {catalog.ComputeNCS}, "algorithm": {catalog.AlgoDroNet}}
+	if _, err := ParseExplore(cat, list); err != nil {
+		t.Fatal(err)
+	}
+	listAllocs := testing.AllocsPerRun(100, func() { _, _ = ParseExplore(cat, list) })
+	singleAllocs := testing.AllocsPerRun(100, func() { _, _ = ParseExplore(cat, single) })
+	if listAllocs > 2*singleAllocs {
+		t.Errorf("list-valued ParseExplore allocates %v times; want at most 2 x %v (single-valued)", listAllocs, singleAllocs)
+	}
+	_, err := ParseExplore(cat, url.Values{"compute": {catalog.ComputeNCS + ",Abacus"}})
+	if err == nil || !strings.Contains(err.Error(), `unknown compute "Abacus"`) {
+		t.Errorf("unknown name in a list: err = %v; want it named", err)
+	}
 }
 
 func TestExploreSensorAxis(t *testing.T) {

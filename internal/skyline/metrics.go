@@ -221,11 +221,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.store != nil {
 		ss := s.store.Stats()
 		gauge("skyline_store_artifacts", "Artifacts indexed in the persistent result store.", float64(ss.Artifacts))
-		gauge("skyline_store_bytes", "Bytes of indexed store artifacts.", float64(ss.Bytes))
+		gauge("skyline_store_bytes", "Bytes of store segment files, superseded records included.", float64(ss.Bytes))
 		gauge("skyline_store_limit_bytes", "Store byte bound (0 = unbounded).", float64(ss.LimitBytes))
 		gauge("skyline_store_degraded", "1 while the store is in its recompute-only cooldown window.", boolGauge(ss.Degraded))
 		gauge("skyline_store_recovered_artifacts", "Artifacts the startup recovery scan accepted.", float64(ss.RecoveredArtifacts))
-		gauge("skyline_store_discarded_temp", "Torn temp files the startup scan deleted.", float64(ss.DiscardedTemp))
+		gauge("skyline_store_discarded_temp", "Torn segment tails the startup scan truncated.", float64(ss.DiscardedTemp))
 		sl := counter("skyline_store_lookups_total", "Store lookups, by outcome (a degraded-mode lookup is a miss).")
 		sl(`{outcome="hit"}`, float64(ss.Hits))
 		sl(`{outcome="miss"}`, float64(ss.Misses))
@@ -233,7 +233,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		sv(`{kind="explore"}`, float64(s.metrics.storeExplore.Load()))
 		sv(`{kind="grid"}`, float64(s.metrics.storeGrid.Load()))
 		counter("skyline_store_spills_total", "Completed responses written as store artifacts.")("", float64(ss.Puts))
-		counter("skyline_store_quarantined_total", "Artifacts that failed verification and were moved aside.")("", float64(ss.Quarantined))
+		counter("skyline_store_quarantined_total", "Records that failed verification and were copied aside.")("", float64(ss.Quarantined))
 		se := counter("skyline_store_errors_total", "Store operations abandoned after their retry budget, by op.")
 		se(`{op="read"}`, float64(ss.ReadErrors))
 		se(`{op="write"}`, float64(ss.WriteErrors))

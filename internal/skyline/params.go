@@ -136,15 +136,13 @@
 // Options.Store attaches the crash-safe persistent result tier
 // (internal/store; cmd/skyline's -store-dir / -store-limit-bytes
 // flags). Completed /explore and /grid.svg responses are spilled to
-// disk as content-addressed artifacts keyed by the canonical request —
-// catalog fingerprint, space, constraints, objective and seed — and a
-// repeat request, including one arriving after a server restart, is
-// answered byte-identically from the artifact without re-running the
-// engine (X-Explore-Store: hit). A constraint-tightened streaming
-// /explore is answered by filtering the stored unconstrained superset
-// (X-Explore-Store: filtered). Artifacts are checksummed on every
-// read: corruption quarantines the file and the request falls through
-// to recompute; persistent store I/O failure trips a recompute-only
+// disk as artifacts keyed by the canonical request — catalog
+// fingerprint, space, constraints, objective and seed — and a repeat
+// request, including one arriving after a server restart, is answered
+// byte-identically from the artifact without re-running the engine
+// (X-Explore-Store: hit). Artifacts are checksummed on every read:
+// corruption quarantines the record and the request falls through to
+// recompute; persistent store I/O failure trips a recompute-only
 // degraded state surfaced on /healthz and /metrics. The key grammar,
 // on-disk layout and atomicity contract are in docs/PERSISTENCE.md.
 //

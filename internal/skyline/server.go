@@ -103,9 +103,7 @@ type Options struct {
 	// completed /explore and /grid.svg responses are written as
 	// checksummed, content-addressed artifacts, and repeat requests —
 	// including after a restart over the same directory — are served
-	// from disk without re-running the engine. A constraint-tightened
-	// streaming /explore is answered by filtering its stored
-	// unconstrained superset. Nil disables the tier.
+	// from disk without re-running the engine. Nil disables the tier.
 	Store *store.Store
 }
 

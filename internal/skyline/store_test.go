@@ -188,18 +188,12 @@ func TestStoreConstrainedStreamRecomputes(t *testing.T) {
 	}
 }
 
-// onlyArtifact returns the path of the store's single on-disk object.
-func onlyArtifact(t *testing.T, st *store.Store) string {
+// onlySegment returns the path of the store's single segment file.
+func onlySegment(t *testing.T, st *store.Store) string {
 	t.Helper()
-	var found []string
-	err := filepath.WalkDir(filepath.Join(st.Dir(), "objects"), func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() {
-			found = append(found, path)
-		}
-		return err
-	})
+	found, err := filepath.Glob(filepath.Join(st.Dir(), "segments", "*.seg"))
 	if err != nil || len(found) != 1 {
-		t.Fatalf("objects/ holds %d artifacts (err %v); want exactly 1", len(found), err)
+		t.Fatalf("segments/ holds %d files (err %v); want exactly 1", len(found), err)
 	}
 	return found[0]
 }
@@ -233,7 +227,7 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 			path := smallExplore(url.Values{"top": {"3"}})
 			want, _ := fetch(t, ss.srv, path)
 
-			corrupt(t, onlyArtifact(t, ss.st))
+			corrupt(t, onlySegment(t, ss.st))
 			got, hdr := fetch(t, ss.srv, path)
 			if hdr != "" {
 				t.Fatalf("corrupt artifact served from store (%q)", hdr)
@@ -279,12 +273,12 @@ func TestStoreReadFaultRecomputes(t *testing.T) {
 	}
 }
 
-// TestStoreRenameFaultDegrades: persistent write failure trips the
+// TestStorePublishFaultDegrades: persistent write failure trips the
 // recompute-only degraded state — surfaced on /healthz — while every
 // response stays correct.
-func TestStoreRenameFaultDegrades(t *testing.T) {
+func TestStorePublishFaultDegrades(t *testing.T) {
 	ss := openStoredServer(t, t.TempDir())
-	defer faultinject.Enable(faultinject.SiteStoreRename, faultinject.Fault{})()
+	defer faultinject.Enable(faultinject.SiteStorePublish, faultinject.Fault{})()
 
 	path := smallExplore(url.Values{"top": {"3"}})
 	var first []byte
@@ -292,7 +286,7 @@ func TestStoreRenameFaultDegrades(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		body, hdr := fetch(t, ss.srv, path)
 		if hdr != "" {
-			t.Fatalf("request %d served from store (%q) under a rename fault", i, hdr)
+			t.Fatalf("request %d served from store (%q) under a publish fault", i, hdr)
 		}
 		if i == 0 {
 			first = body

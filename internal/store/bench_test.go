@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkStoreRoundTrip measures the full spill-and-recall cycle —
-// encode, fsync'd crash-safe write, read-back with checksum
+// encode, one fsync'd segment append, read-back with checksum
 // verification — for a representative /explore artifact (~16 KiB of
 // NDJSON). The fsync dominates; the bound in BENCH_dse.json is set
 // generously because fsync latency varies wildly across filesystems.
@@ -32,7 +32,7 @@ func BenchmarkStoreRoundTrip(b *testing.B) {
 
 // BenchmarkStoreWarmLookup measures the warm-restart serving path in
 // isolation: Get over an already-written artifact — one index lookup,
-// one file read, one SHA-256 over the payload. This is the per-request
+// one ReadAt on the open segment, one SHA-256 over the record. This is the per-request
 // cost a warm /explore hit pays instead of an engine run.
 func BenchmarkStoreWarmLookup(b *testing.B) {
 	s, err := Open(b.TempDir(), 0)

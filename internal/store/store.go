@@ -5,18 +5,19 @@
 // canonical hash of the request identity, and repeat requests after a
 // process restart are answered from I/O instead of CPU.
 //
-// The design is a small "triangle": bulk artifacts on disk, a compact
-// in-memory index keyed by content hash, and the engine as the
+// Artifacts are records appended to a few large segment files, with an
+// in-memory index from key hash to record position; the engine is the
 // recompute path of last resort. Every failure mode degrades toward
 // recompute, never toward wrong bytes:
 //
-//   - Writes are crash-safe: an artifact is written to a temp file,
-//     fsynced, and renamed into place. A crash mid-write leaves a torn
-//     temp file that the next Open discards; a crash mid-rename leaves
-//     either the old state or the complete new artifact.
-//   - Every artifact carries a SHA-256 checksum of its payload,
-//     verified on every read. A mismatch quarantines the artifact —
-//     moved aside, counted, never served — and reports a miss.
+//   - Writes are crash-safe: a Put appends one record with a single
+//     write and fsyncs it before indexing it. A failed attempt
+//     truncates the segment back to its old end; a crash mid-append
+//     leaves a torn tail that the next Open truncates.
+//   - Every record carries a SHA-256 checksum over its key hash and
+//     payload, verified on every read. A mismatch quarantines the
+//     record — its bytes copied aside, a tombstone appended so it stays
+//     unserved after a restart, counted — and reports a miss.
 //   - Transient I/O errors retry with capped backoff; persistent
 //     failure trips the store into a recompute-only degraded state for
 //     a cooldown window, surfaced via Stats (and from there on the
@@ -24,13 +25,13 @@
 //
 // On-disk layout under the store directory:
 //
-//	objects/<hh>/<hash>   artifacts, named by the hex SHA-256 of their
-//	                      canonical key (hh = first two hex digits)
-//	tmp/                  in-progress writes; discarded at Open
-//	quarantine/           artifacts that failed verification
+//	segments/<seq>.seg   append-only record files, oldest = lowest seq;
+//	                     eviction deletes whole segments, oldest first
+//	quarantine/          copies of records that failed verification
 //
-// The artifact format, the key contract and the degraded-mode
-// semantics are specified in docs/PERSISTENCE.md.
+// The record format, the key contract and the degraded-mode semantics
+// are specified in docs/PERSISTENCE.md. One process owns a store
+// directory at a time.
 //
 // A Store is safe for concurrent use. The zero-value *Store (nil) is
 // a valid "store off" tier: Get always misses and Put is a no-op.
@@ -38,16 +39,16 @@ package store
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/sha256"
-	"encoding/hex"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io/fs"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,14 +56,31 @@ import (
 	"repro/internal/faultinject"
 )
 
-// artifactMagic heads every artifact: a format version tag so a future
-// layout change can coexist with old artifacts instead of serving them
-// wrongly decoded.
-const artifactMagic = "reprostore1"
+// Record layout. The checksum covers everything after itself — kind,
+// key hash, length and payload — so a flipped key field can never
+// serve one key's bytes under another key. The magic is a format
+// version tag, checked on its own.
+//
+//	magic [4] | sha256 [32] | kind [1] | key hash [32] | payload len [8, big-endian] | payload
+const (
+	recordMagic = "rsg1"
+	sumOff      = 4 // len(recordMagic)
+	kindOff     = sumOff + sha256.Size
+	hashOff     = kindOff + 1
+	lenOff      = hashOff + sha256.Size
+	headerLen   = lenOff + 8
+)
 
-// maxHeaderLen bounds the header line: magic + space + 64 hex digest
-// digits + space + a decimal length + newline.
-const maxHeaderLen = len(artifactMagic) + 1 + 64 + 1 + 20 + 1
+// Record kinds. A tombstone (zero-length payload) hides every earlier
+// record of its key from the Open scan.
+const (
+	kindPut  byte = 'p'
+	kindTomb byte = 't'
+)
+
+// maxSegmentBytes caps the size a segment grows to before Put rolls to
+// a new one; smaller limits roll at limit/8 so eviction stays granular.
+const maxSegmentBytes = 64 << 20
 
 const (
 	// retryAttempts is how many times a transient I/O failure is tried
@@ -80,24 +98,44 @@ const (
 	defaultCooldown = 15 * time.Second
 )
 
-// entry is one indexed artifact: its key hash and on-disk size.
-type entry struct {
-	hash string
+// segment is one open append-only record file.
+type segment struct {
+	seq uint64
+	f   *os.File
+	// size is the committed length: every byte below it is a complete,
+	// fsynced record. It is written holding both wmu and mu, so either
+	// lock suffices to read it.
 	size int64
+	// evicted is set before f is closed, so a reader whose ReadAt lost
+	// the race to an eviction reports a miss rather than an I/O error.
+	evicted atomic.Bool
+}
+
+// location is where one indexed record lives.
+type location struct {
+	seg *segment
+	off int64 // record start
+	n   int64 // payload length
 }
 
 // Store is a bounded on-disk artifact store. Construct with Open.
 type Store struct {
 	dir   string
 	limit int64
+	roll  int64 // segment size past which Put starts a new segment
 
-	// mu guards the index (entries, lru, bytes). File reads and writes
-	// happen outside it so a slow disk never serializes lookups;
-	// evictions and quarantines re-acquire it to fix the index.
-	mu      sync.Mutex
-	entries map[string]*list.Element // key hash → lru element holding *entry
-	lru     *list.List               // front = most recently used
-	bytes   int64
+	// wmu serializes appends; active and nextSeq belong to it. It is
+	// taken before mu, never while holding mu.
+	wmu     sync.Mutex
+	active  *segment
+	nextSeq uint64
+
+	// mu guards the index, the segment list (oldest first) and bytes.
+	// Record reads happen outside it on the segment's open file.
+	mu    sync.Mutex
+	index map[[sha256.Size]byte]location
+	segs  []*segment
+	bytes int64 // total committed segment bytes, the limit's measure
 
 	hits          atomic.Uint64
 	misses        atomic.Uint64
@@ -108,8 +146,8 @@ type Store struct {
 	evictions     atomic.Uint64
 	degradedTrips atomic.Uint64
 
-	recovered     int // artifacts the Open scan accepted
-	discardedTemp int // torn temp files the Open scan deleted
+	recovered     int // artifacts the Open scan indexed
+	discardedTemp int // torn segment tails the Open scan truncated
 
 	// consecFails counts consecutive failed operations; at
 	// degradeThreshold the store trips degraded until degradedUntil
@@ -125,9 +163,11 @@ type Store struct {
 }
 
 // Stats is a point-in-time store snapshot. Counters are cumulative
-// since Open; Artifacts/Bytes describe the current index.
+// since Open; Artifacts/Bytes describe the current index and segments.
 type Stats struct {
-	Artifacts  int   `json:"artifacts"`
+	Artifacts int `json:"artifacts"`
+	// Bytes is the size of the segment files, superseded records
+	// included: the quantity LimitBytes bounds.
 	Bytes      int64 `json:"bytes"`
 	LimitBytes int64 `json:"limit_bytes"`
 	// Hits/Misses count Get outcomes (a degraded-mode Get is a miss).
@@ -135,16 +175,17 @@ type Stats struct {
 	Misses uint64 `json:"misses"`
 	// Puts counts artifacts durably written (spills).
 	Puts uint64 `json:"puts"`
-	// Quarantined counts artifacts moved aside after failing
+	// Quarantined counts records copied aside after failing
 	// verification — at Open or on a read — and never served.
 	Quarantined uint64 `json:"quarantined"`
 	// ReadErrors/WriteErrors count operations abandoned after their
 	// retry budget (verification failures are Quarantined, not errors).
 	ReadErrors  uint64 `json:"read_errors"`
 	WriteErrors uint64 `json:"write_errors"`
-	Evictions   uint64 `json:"evictions"`
+	// Evictions counts indexed artifacts dropped with their segment.
+	Evictions uint64 `json:"evictions"`
 	// RecoveredArtifacts/DiscardedTemp describe the Open scan: intact
-	// artifacts re-indexed, and torn temp files deleted.
+	// artifacts re-indexed, and torn segment tails truncated.
 	RecoveredArtifacts int `json:"recovered_artifacts"`
 	DiscardedTemp      int `json:"discarded_temp"`
 	// Degraded is true while the store is in its recompute-only
@@ -153,210 +194,191 @@ type Stats struct {
 	DegradedTrips uint64 `json:"degraded_trips"`
 }
 
+var (
+	// errCorrupt marks verification failures — a bad header, a record
+	// running past EOF, a key or checksum mismatch. Unlike transient
+	// I/O errors it is deterministic: the record is quarantined, never
+	// retried.
+	errCorrupt = errors.New("store: record failed verification")
+	// errEvicted marks a read that lost the race to its segment's
+	// eviction: a plain miss, neither retried nor counted as an error.
+	errEvicted = errors.New("store: segment evicted")
+)
+
 // Open opens (creating if needed) the store rooted at dir, bounded to
-// limitBytes of artifact data (0 = unbounded), and runs the recovery
-// scan: torn temp files are discarded, artifacts with a malformed
-// header or a size that contradicts it are quarantined, and the index
-// is rebuilt from the survivors in modification-time order so the
-// eviction order approximates the pre-restart recency order.
+// limitBytes of segment data (0 = unbounded), and runs the recovery
+// scan: segments are read in sequence order, a later record for a key
+// wins, a torn tail is quarantined and truncated, and the oldest
+// segments are evicted past the limit. Files in segments/ that are not
+// segments are quarantined. A leftover objects/ directory of the old
+// one-file-per-artifact layout is neither read nor removed; its
+// answers are recomputed.
 func Open(dir string, limitBytes int64) (*Store, error) {
 	s := &Store{
 		dir:      dir,
 		limit:    limitBytes,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
+		roll:     maxSegmentBytes,
+		nextSeq:  1,
+		index:    make(map[[sha256.Size]byte]location),
 		cooldown: defaultCooldown,
 		now:      time.Now,
 	}
-	for _, d := range []string{dir, s.objectsDir(), s.tmpDir(), s.quarantineDir()} {
+	if limitBytes > 0 {
+		s.roll = min(limitBytes/8, maxSegmentBytes)
+	}
+	for _, d := range []string{dir, s.segmentsDir(), s.quarantineDir()} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("store: open %s: %w", dir, err)
 		}
 	}
-	if err := s.discardTemp(); err != nil {
+	if err := s.scan(); err != nil {
+		for _, seg := range s.segs {
+			seg.f.Close()
+		}
 		return nil, err
 	}
-	if err := s.scan(); err != nil {
-		return nil, err
+	s.recovered = len(s.index)
+	s.mu.Lock()
+	victims := s.evictLocked(0)
+	s.mu.Unlock()
+	dropSegments(victims)
+	if n := len(s.segs); n > 0 {
+		s.active = s.segs[n-1]
 	}
 	return s, nil
 }
 
-func (s *Store) objectsDir() string    { return filepath.Join(s.dir, "objects") }
-func (s *Store) tmpDir() string        { return filepath.Join(s.dir, "tmp") }
+func (s *Store) segmentsDir() string   { return filepath.Join(s.dir, "segments") }
 func (s *Store) quarantineDir() string { return filepath.Join(s.dir, "quarantine") }
 
-func (s *Store) objectPath(hash string) string {
-	return filepath.Join(s.objectsDir(), hash[:2], hash)
+func (s *Store) segmentPath(seq uint64) string {
+	return filepath.Join(s.segmentsDir(), fmt.Sprintf("%08d.seg", seq))
 }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// keyHash is the content address: the hex SHA-256 of the canonical key
-// string. Callers own key canonicalization (docs/PERSISTENCE.md); the
-// store only ever sees the opaque string.
-func keyHash(key string) string {
-	h := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(h[:])
-}
-
-// discardTemp deletes every leftover in tmp/ — a temp file can only
-// exist here if a writer died between CreateTemp and rename, so each
-// one is a torn write by definition.
-func (s *Store) discardTemp() error {
-	names, err := os.ReadDir(s.tmpDir())
+// scan opens every segment in sequence order and indexes its records.
+func (s *Store) scan() error {
+	des, err := os.ReadDir(s.segmentsDir())
 	if err != nil {
-		return fmt.Errorf("store: scanning tmp: %w", err)
+		return fmt.Errorf("store: scanning segments: %w", err)
 	}
-	for _, de := range names {
-		if err := os.Remove(filepath.Join(s.tmpDir(), de.Name())); err == nil {
-			s.discardedTemp++
+	var seqs []uint64
+	for _, de := range des {
+		name := de.Name()
+		seq, perr := strconv.ParseUint(strings.TrimSuffix(name, ".seg"), 10, 64)
+		if perr != nil || s.segmentPath(seq) != filepath.Join(s.segmentsDir(), name) {
+			s.quarantineFile(filepath.Join(s.segmentsDir(), name), name)
+			continue
 		}
+		seqs = append(seqs, seq)
+	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	for _, seq := range seqs {
+		f, err := os.OpenFile(s.segmentPath(seq), os.O_RDWR, 0)
+		if err != nil {
+			return fmt.Errorf("store: opening segment: %w", err)
+		}
+		seg := &segment{seq: seq, f: f}
+		s.segs = append(s.segs, seg)
+		if err := s.scanSegment(seg); err != nil {
+			return fmt.Errorf("store: scanning segment %s: %w", f.Name(), err)
+		}
+		s.bytes += seg.size
+		s.nextSeq = seq + 1
 	}
 	return nil
 }
 
-// scan rebuilds the index from objects/: each file's header is parsed
-// and cross-checked against its size (the cheap torn-write detector —
-// full payload verification happens on read), survivors are indexed in
-// mtime order, and anything malformed is quarantined.
-func (s *Store) scan() error {
-	type found struct {
-		hash  string
-		size  int64
-		mtime time.Time
+// scanSegment indexes seg's records by their headers alone (payloads
+// are verified on read) and truncates a torn tail: everything from the
+// first malformed header, or the first record running past EOF, on.
+func (s *Store) scanSegment(seg *segment) error {
+	info, err := seg.f.Stat()
+	if err != nil {
+		return err
 	}
-	var ok []found
-	err := filepath.WalkDir(s.objectsDir(), func(path string, de fs.DirEntry, err error) error {
-		if err != nil || de.IsDir() {
+	end := info.Size()
+	var hdr [headerLen]byte
+	off := int64(0)
+	for end-off >= headerLen {
+		if _, err := seg.f.ReadAt(hdr[:], off); err != nil {
 			return err
 		}
-		name := de.Name()
-		info, ierr := de.Info()
-		if ierr != nil {
-			return nil // vanished mid-scan; nothing to index
+		kind, h, n, ok := parseHeader(hdr[:])
+		if !ok || n > uint64(end-off-headerLen) {
+			break
 		}
-		if !validHash(name) || !s.headerMatches(path, info.Size()) {
-			s.quarantineFile(path, name)
-			return nil
+		if kind == kindPut {
+			s.index[h] = location{seg: seg, off: off, n: int64(n)}
+		} else {
+			delete(s.index, h)
 		}
-		ok = append(ok, found{hash: name, size: info.Size(), mtime: info.ModTime()})
+		off += headerLen + int64(n)
+	}
+	seg.size = off
+	if off == end {
 		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("store: scanning objects: %w", err)
 	}
-	// Oldest first, each pushed to the front: the newest artifact ends
-	// up most recently used. Ties (same mtime) order by hash so the
-	// rebuilt index is deterministic.
-	sort.Slice(ok, func(i, j int) bool {
-		if !ok[i].mtime.Equal(ok[j].mtime) {
-			return ok[i].mtime.Before(ok[j].mtime)
-		}
-		return ok[i].hash < ok[j].hash
-	})
-	for _, f := range ok {
-		e := &entry{hash: f.hash, size: f.size}
-		s.entries[f.hash] = s.lru.PushFront(e)
-		s.bytes += f.size
+	s.quarantineCopy(fmt.Sprintf("%08d.seg@%d", seg.seq, off), io.NewSectionReader(seg.f, off, end-off))
+	if err := seg.f.Truncate(off); err != nil {
+		return err
 	}
-	s.recovered = len(ok)
-	s.mu.Lock()
-	s.evictLocked()
-	s.mu.Unlock()
+	s.discardedTemp++
 	return nil
 }
 
-// validHash reports whether name is a well-formed artifact file name
-// (64 lowercase hex digits).
-func validHash(name string) bool {
-	if len(name) != 64 {
-		return false
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
+// parseHeader decodes a record header; ok is false when it cannot be
+// one (bad magic, unknown kind, a put without payload or a tombstone
+// with one).
+func parseHeader(hdr []byte) (kind byte, h [sha256.Size]byte, n uint64, ok bool) {
+	kind = hdr[kindOff]
+	copy(h[:], hdr[hashOff:lenOff])
+	n = binary.BigEndian.Uint64(hdr[lenOff:headerLen])
+	ok = string(hdr[:sumOff]) == recordMagic &&
+		(kind == kindPut && n > 0 || kind == kindTomb && n == 0)
+	return kind, h, n, ok
 }
 
-// headerMatches reads just the artifact header and checks that the
-// declared payload length is consistent with the file size.
-func (s *Store) headerMatches(path string, fileSize int64) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	buf := make([]byte, maxHeaderLen)
-	n, _ := f.Read(buf)
-	headerLen, payloadLen, _, perr := parseHeader(buf[:n])
-	return perr == nil && fileSize == int64(headerLen)+payloadLen
+// encodeRecord frames payload under key hash h.
+func encodeRecord(kind byte, h [sha256.Size]byte, payload []byte) []byte {
+	rec := make([]byte, headerLen+len(payload))
+	copy(rec, recordMagic)
+	rec[kindOff] = kind
+	copy(rec[hashOff:], h[:])
+	binary.BigEndian.PutUint64(rec[lenOff:], uint64(len(payload)))
+	copy(rec[headerLen:], payload)
+	sum := sha256.Sum256(rec[kindOff:])
+	copy(rec[sumOff:], sum[:])
+	return rec
 }
 
-// errCorrupt marks verification failures — a bad header, a length
-// mismatch, or a checksum mismatch. Unlike transient I/O errors it is
-// deterministic: the artifact is quarantined, never retried.
-var errCorrupt = errors.New("store: artifact failed verification")
-
-// parseHeader parses "reprostore1 <sha256hex> <len>\n" from the head
-// of b, returning the header's byte length, the declared payload
-// length and digest.
-func parseHeader(b []byte) (headerLen int, payloadLen int64, digest string, err error) {
-	nl := bytes.IndexByte(b, '\n')
-	if nl < 0 {
-		return 0, 0, "", errCorrupt
-	}
-	fields := bytes.Split(b[:nl], []byte(" "))
-	if len(fields) != 3 || string(fields[0]) != artifactMagic || len(fields[1]) != 64 {
-		return 0, 0, "", errCorrupt
-	}
-	n, perr := strconv.ParseInt(string(fields[2]), 10, 64)
-	if perr != nil || n < 0 {
-		return 0, 0, "", errCorrupt
-	}
-	return nl + 1, n, string(fields[1]), nil
-}
-
-// encodeArtifact frames payload with its checksum header.
-func encodeArtifact(payload []byte) []byte {
-	sum := sha256.Sum256(payload)
-	var buf bytes.Buffer
-	buf.Grow(maxHeaderLen + len(payload))
-	fmt.Fprintf(&buf, "%s %s %d\n", artifactMagic, hex.EncodeToString(sum[:]), len(payload))
-	buf.Write(payload)
-	return buf.Bytes()
-}
-
-// decodeArtifact verifies raw against its header and returns the
-// payload; any inconsistency is errCorrupt.
-func decodeArtifact(raw []byte) ([]byte, error) {
-	headerLen, payloadLen, digest, err := parseHeader(raw)
-	if err != nil {
-		return nil, err
-	}
-	payload := raw[headerLen:]
-	if int64(len(payload)) != payloadLen {
+// decodeRecord verifies that rec is a put record for key hash h and
+// returns its payload; any inconsistency is errCorrupt.
+func decodeRecord(rec []byte, h [sha256.Size]byte) ([]byte, error) {
+	if len(rec) < headerLen {
 		return nil, errCorrupt
 	}
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != digest {
+	kind, got, n, ok := parseHeader(rec)
+	if !ok || kind != kindPut || got != h || n != uint64(len(rec)-headerLen) {
 		return nil, errCorrupt
 	}
-	return payload, nil
+	if sum := sha256.Sum256(rec[kindOff:]); !bytes.Equal(sum[:], rec[sumOff:kindOff]) {
+		return nil, errCorrupt
+	}
+	return rec[headerLen:], nil
 }
 
 // withRetry runs op up to retryAttempts times with doubling backoff.
-// op must be idempotent; corruption is detected after the I/O
-// succeeds, so only transient errors ever reach the retry loop.
+// op must be idempotent. Corruption and eviction are deterministic, so
+// they return at once.
 func withRetry(op func() error) error {
 	var err error
 	for attempt := 0; attempt < retryAttempts; attempt++ {
-		if err = op(); err == nil {
-			return nil
+		err = op()
+		if err == nil || errors.Is(err, errCorrupt) || errors.Is(err, errEvicted) {
+			return err
 		}
 		if attempt < retryAttempts-1 {
 			time.Sleep(retryBackoff << attempt)
@@ -385,7 +407,8 @@ func (s *Store) noteSuccess() { s.consecFails.Store(0) }
 
 // Get returns the payload stored under key. Any failure is a miss:
 // a degraded store short-circuits, an I/O error (after retries) counts
-// a read error, and a verification failure quarantines the artifact.
+// a read error, a verification failure quarantines the record, and a
+// read that loses the race to its segment's eviction just misses.
 // Safe for concurrent use; nil receiver always misses.
 func (s *Store) Get(key string) ([]byte, bool) {
 	if s == nil {
@@ -395,49 +418,64 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
-	h := keyHash(key)
+	h := sha256.Sum256([]byte(key))
 	s.mu.Lock()
-	el, ok := s.entries[h]
+	loc, ok := s.index[h]
+	s.mu.Unlock()
 	if !ok {
-		s.mu.Unlock()
 		s.misses.Add(1)
 		return nil, false
 	}
-	s.lru.MoveToFront(el)
-	s.mu.Unlock()
+	if payload, ok := s.read(h, loc); ok {
+		s.hits.Add(1)
+		return payload, true
+	}
+	s.misses.Add(1)
+	return nil, false
+}
 
-	path := s.objectPath(h)
-	var raw []byte
+// read fetches and verifies the record at loc with one ReadAt.
+func (s *Store) read(h [sha256.Size]byte, loc location) ([]byte, bool) {
+	rec := make([]byte, headerLen+loc.n)
+	var got int
 	err := withRetry(func() error {
 		if ferr := faultinject.Fire(faultinject.SiteStoreRead); ferr != nil {
 			return ferr
 		}
 		var rerr error
-		raw, rerr = os.ReadFile(path)
+		got, rerr = loc.seg.f.ReadAt(rec, loc.off)
+		switch {
+		case rerr == nil:
+			return nil
+		case loc.seg.evicted.Load():
+			return errEvicted
+		case errors.Is(rerr, io.EOF):
+			return errCorrupt // the record runs past the end of its segment
+		}
 		return rerr
 	})
-	if err != nil {
+	var payload []byte
+	if err == nil {
+		payload, err = decodeRecord(rec, h)
+	}
+	switch {
+	case err == nil:
+		s.noteSuccess()
+		return payload, true
+	case errors.Is(err, errCorrupt):
+		s.quarantine(h, loc, rec[:got])
+	case !errors.Is(err, errEvicted):
 		s.readErrors.Add(1)
 		s.noteFailure()
-		s.misses.Add(1)
-		return nil, false
 	}
-	payload, err := decodeArtifact(raw)
-	if err != nil {
-		s.quarantine(h)
-		s.misses.Add(1)
-		return nil, false
-	}
-	s.noteSuccess()
-	s.hits.Add(1)
-	return payload, true
+	return nil, false
 }
 
-// Put durably stores payload under key (temp file + fsync + rename),
-// evicting least-recently-used artifacts past the byte limit. It
-// reports whether the artifact was written: a degraded store, an
-// over-limit payload, an empty payload, or an exhausted retry budget
-// all decline. Safe for concurrent use; nil receiver declines.
+// Put durably stores payload under key (one append + fsync), evicting
+// the oldest segments past the byte limit. It reports whether the
+// artifact was written: a degraded store, an over-limit payload, an
+// empty payload, or an exhausted retry budget all decline. Safe for
+// concurrent use; nil receiver declines.
 func (s *Store) Put(key string, payload []byte) bool {
 	if s == nil || len(payload) == 0 {
 		return false
@@ -445,117 +483,164 @@ func (s *Store) Put(key string, payload []byte) bool {
 	if s.isDegraded() {
 		return false
 	}
-	buf := encodeArtifact(payload)
-	if s.limit > 0 && int64(len(buf)) > s.limit {
+	h := sha256.Sum256([]byte(key))
+	rec := encodeRecord(kindPut, h, payload)
+	if s.limit > 0 && int64(len(rec)) > s.limit {
 		return false
 	}
-	h := keyHash(key)
-	final := s.objectPath(h)
-	err := withRetry(func() error { return s.writeObject(final, buf) })
+	err := withRetry(func() error {
+		if ferr := faultinject.Fire(faultinject.SiteStoreWrite); ferr != nil {
+			return ferr
+		}
+		return s.append(rec, h, true)
+	})
 	if err != nil {
 		s.writeErrors.Add(1)
 		s.noteFailure()
 		return false
 	}
 	s.noteSuccess()
-
-	s.mu.Lock()
-	if el, ok := s.entries[h]; ok {
-		e := el.Value.(*entry)
-		s.bytes += int64(len(buf)) - e.size
-		e.size = int64(len(buf))
-		s.lru.MoveToFront(el)
-	} else {
-		e := &entry{hash: h, size: int64(len(buf))}
-		s.entries[h] = s.lru.PushFront(e)
-		s.bytes += e.size
-	}
-	s.evictLocked()
-	s.mu.Unlock()
 	s.puts.Add(1)
 	return true
 }
 
-// writeObject is one crash-safe write attempt: temp file in tmp/,
-// fsync, rename into objects/, best-effort directory sync. The fault
-// seams fire before the write and before the rename so tests and the
-// load generator can exercise exactly those failure points.
-func (s *Store) writeObject(final string, buf []byte) error {
-	if ferr := faultinject.Fire(faultinject.SiteStoreWrite); ferr != nil {
-		return ferr
-	}
-	f, err := os.CreateTemp(s.tmpDir(), "put-*.tmp")
+// append is one write attempt: the record goes at the active segment's
+// committed end in one write, is fsynced, and only then counts as
+// committed (and, for a put, indexed). A failed attempt truncates the
+// segment back, so it leaves nothing behind. The store.publish seam
+// fires between the fsync and the index insert.
+func (s *Store) append(rec []byte, h [sha256.Size]byte, put bool) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	seg, err := s.activeFor(int64(len(rec)))
 	if err != nil {
 		return err
 	}
-	tmp := f.Name()
-	_, werr := f.Write(buf)
-	if serr := f.Sync(); werr == nil {
-		werr = serr
+	off := seg.size
+	_, err = seg.f.WriteAt(rec, off)
+	if err == nil {
+		err = seg.f.Sync()
 	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
+	if err == nil && put {
+		err = faultinject.Fire(faultinject.SiteStorePublish)
 	}
-	if werr == nil {
-		if ferr := faultinject.Fire(faultinject.SiteStoreRename); ferr != nil {
-			werr = ferr
-		} else if werr = os.MkdirAll(filepath.Dir(final), 0o755); werr == nil {
-			werr = os.Rename(tmp, final)
-		}
+	if err != nil {
+		// If this truncate fails too, the bytes past size are still
+		// unreachable: the next append overwrites them, and the Open
+		// scan either truncates them or finds a complete record.
+		_ = seg.f.Truncate(off)
+		return err
 	}
-	if werr != nil {
-		os.Remove(tmp)
-		return werr
+	s.mu.Lock()
+	seg.size += int64(len(rec))
+	s.bytes += int64(len(rec))
+	if put {
+		s.index[h] = location{seg: seg, off: off, n: int64(len(rec) - headerLen)}
 	}
-	if d, derr := os.Open(filepath.Dir(final)); derr == nil {
-		_ = d.Sync() // rename durability is best-effort; the artifact itself is synced
-		d.Close()
-	}
+	victims := s.evictLocked(1)
+	s.mu.Unlock()
+	dropSegments(victims)
 	return nil
 }
 
-// quarantine moves the artifact for h aside and drops it from the
-// index: it failed verification and must never be served again, but
-// the evidence is kept for a human (or a test) to inspect.
-func (s *Store) quarantine(h string) {
-	s.mu.Lock()
-	if el, ok := s.entries[h]; ok {
-		e := el.Value.(*entry)
-		s.lru.Remove(el)
-		delete(s.entries, h)
-		s.bytes -= e.size
+// activeFor returns the segment the next n-byte record goes to,
+// rolling to a new one when the active segment would pass the roll
+// size. Callers hold wmu.
+func (s *Store) activeFor(n int64) (*segment, error) {
+	if s.active != nil && (s.active.size == 0 || s.active.size+n <= s.roll) {
+		return s.active, nil
 	}
+	seq := s.nextSeq
+	s.nextSeq++ // a failed create retries under a fresh name
+	f, err := os.OpenFile(s.segmentPath(seq), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if d, derr := os.Open(s.segmentsDir()); derr == nil {
+		_ = d.Sync() // directory durability is best-effort; each record is synced
+		d.Close()
+	}
+	seg := &segment{seq: seq, f: f}
+	s.mu.Lock()
+	s.segs = append(s.segs, seg)
 	s.mu.Unlock()
-	s.quarantineFile(s.objectPath(h), h)
+	s.active = seg
+	return seg, nil
 }
 
-// quarantineFile moves path into quarantine/ (deleting it if even the
-// move fails — a corrupt artifact must not stay servable) and counts.
-func (s *Store) quarantineFile(path, name string) {
+// quarantine drops the record at loc from the index, copies its bytes
+// aside and appends a tombstone so a restart does not index it again.
+// Concurrent readers of the same record quarantine it once.
+func (s *Store) quarantine(h [sha256.Size]byte, loc location, rec []byte) {
+	s.mu.Lock()
+	owned := s.index[h] == loc
+	if owned {
+		delete(s.index, h)
+	}
+	s.mu.Unlock()
+	if !owned {
+		return
+	}
+	s.quarantineCopy(fmt.Sprintf("%x", h), bytes.NewReader(rec))
+	// Best-effort: without the tombstone a restart indexes the record
+	// again, and the next read verifies and quarantines it again.
+	_ = s.append(encodeRecord(kindTomb, h, nil), h, false)
+}
+
+// quarantineCopy keeps a copy of failed record bytes for inspection
+// and counts them. The copy is evidence only: the bytes are already
+// unreachable, so a failed copy changes nothing.
+func (s *Store) quarantineCopy(name string, r io.Reader) {
 	dst := filepath.Join(s.quarantineDir(), fmt.Sprintf("%s.%d", name, s.quarSeq.Add(1)))
-	if err := os.Rename(path, dst); err != nil {
-		os.Remove(path)
+	if f, err := os.Create(dst); err == nil {
+		_, _ = io.Copy(f, r)
+		f.Close()
 	}
 	s.quarantined.Add(1)
 }
 
-// evictLocked drops least-recently-used artifacts until the byte
-// budget holds. Callers hold mu.
-func (s *Store) evictLocked() {
-	if s.limit <= 0 {
-		return
+// quarantineFile moves a foreign file out of segments/ (deleting it if
+// even the move fails, so it can never be scanned) and counts it.
+func (s *Store) quarantineFile(path, name string) {
+	dst := filepath.Join(s.quarantineDir(), fmt.Sprintf("%s.%d", name, s.quarSeq.Add(1)))
+	if err := os.Rename(path, dst); err != nil {
+		os.RemoveAll(path)
 	}
-	for s.bytes > s.limit {
-		el := s.lru.Back()
-		if el == nil {
-			return
+	s.quarantined.Add(1)
+}
+
+// evictLocked drops the oldest segments, and the artifacts indexed in
+// them, until the byte budget holds or only floor segments remain. It
+// returns the dropped segments for dropSegments to delete once mu is
+// released. Callers hold mu.
+func (s *Store) evictLocked(floor int) []*segment {
+	if s.limit <= 0 {
+		return nil
+	}
+	var victims []*segment
+	for s.bytes > s.limit && len(s.segs) > floor {
+		seg := s.segs[0]
+		s.segs = s.segs[1:]
+		s.bytes -= seg.size
+		for h, loc := range s.index {
+			if loc.seg == seg {
+				delete(s.index, h)
+				s.evictions.Add(1)
+			}
 		}
-		e := el.Value.(*entry)
-		s.lru.Remove(el)
-		delete(s.entries, e.hash)
-		s.bytes -= e.size
-		os.Remove(s.objectPath(e.hash))
-		s.evictions.Add(1)
+		seg.evicted.Store(true)
+		victims = append(victims, seg)
+	}
+	return victims
+}
+
+// dropSegments closes and deletes evicted segments. A reader that
+// looked a record up before the eviction sees its ReadAt fail on the
+// closed file and reports a miss.
+func dropSegments(victims []*segment) {
+	for _, seg := range victims {
+		seg.f.Close()
+		os.Remove(seg.f.Name())
 	}
 }
 
@@ -565,7 +650,7 @@ func (s *Store) Stats() Stats {
 		return Stats{}
 	}
 	s.mu.Lock()
-	artifacts, size := len(s.entries), s.bytes
+	artifacts, size := len(s.index), s.bytes
 	s.mu.Unlock()
 	return Stats{
 		Artifacts:          artifacts,
